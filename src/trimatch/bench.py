@@ -15,10 +15,9 @@ from time import perf_counter
 
 from .lanes import LaneIndex
 from .metric import MetricSpace
-from .search import (Query, enumerate_bruteforce, enumerate_pruned,
-                     enumerate_quad, enumerate_topk)
+from .search import BACKENDS, Query
 
-ALGORITHMS = ("brute", "quad", "pruned", "topk")
+ALGORITHMS = tuple(BACKENDS)
 DEFAULT_ELL_GRID = (0.75, 0.80, 0.85, 0.90, 0.95)
 
 
@@ -67,18 +66,13 @@ def run_queries(index: LaneIndex, space: MetricSpace, lane_ids, algos, ells,
     rows: list[QueryRow] = []
     for ell in ells:
         for algo in algos:
+            search = BACKENDS[algo]
+            opts = {"deterministic": deterministic} if algo == "topk" else {}
             for lane_id in lane_ids:
                 u = u_km if u_km is not None else u_factor * index.by_id[lane_id].dist
                 query = Query(lane_id, ell, u, k if algo == "topk" else None)
                 started = perf_counter()
-                if algo == "brute":
-                    rs = enumerate_bruteforce(index, space, query)
-                elif algo == "quad":
-                    rs = enumerate_quad(index, space, query)
-                elif algo == "pruned":
-                    rs = enumerate_pruned(index, space, query)
-                else:
-                    rs = enumerate_topk(index, space, query, deterministic=deterministic)
+                rs = search(index, space, query, **opts)
                 wall = perf_counter() - started
                 rows.append(QueryRow(lane_id, algo, ell, u, query.k, wall,
                                      len(rs.triangles), rs.stats.candidates,

@@ -23,8 +23,7 @@ from .generate import generate_instance, write_instance
 from .lanes import LaneIndex, build_index, load_lanes_csv
 from .metric import (GREAT_CIRCLE, MATRIX, MetricSpace, UnknownBaseError,
                      load_bases_csv, load_matrix_csv, validate_metric)
-from .search import (Query, enumerate_bruteforce, enumerate_pruned,
-                     enumerate_quad, enumerate_topk)
+from .search import BACKENDS, Query, enumerate_topk
 
 
 class InputError(click.ClickException):
@@ -36,21 +35,24 @@ def main():
     """Find triangular transports for full-truckload lanes."""
 
 
-def _load_space(bases_path: str, matrix_path: str | None, provider: str,
-                force: bool, samples: int = 1000, seed: int = 0) -> MetricSpace:
+def _read_space(bases_path: str, matrix_path: str | None, provider: str) -> MetricSpace:
     try:
         bases = load_bases_csv(bases_path)
         if provider == MATRIX:
             if matrix_path is None:
                 raise InputError("--provider matrix requires --matrix")
-            space = MetricSpace.from_matrix(bases, load_matrix_csv(matrix_path))
-        else:
-            space = MetricSpace.great_circle(bases)
+            return MetricSpace.from_matrix(bases, load_matrix_csv(matrix_path))
+        return MetricSpace.great_circle(bases)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _load_space(bases_path: str, matrix_path: str | None, provider: str,
+                force: bool) -> MetricSpace:
+    space = _read_space(bases_path, matrix_path, provider)
     if provider == MATRIX:
         # explicit matrices carry no proof of metricity; refuse bad ones
-        report = validate_metric(space, samples=samples, seed=seed)
+        report = validate_metric(space)
         if not report.ok:
             click.echo(report.summary(), err=True)
             if not force:
@@ -145,16 +147,7 @@ def gen(n_bases, n_lanes, seed, out):
 @click.option("--force", is_flag=True, help="Report violations but exit 0.")
 def validate(bases_path, lanes_path, matrix_path, provider, samples, seed, force):
     """Check the metric axioms and lane-file integrity."""
-    try:
-        bases = load_bases_csv(bases_path)
-        if provider == MATRIX:
-            if matrix_path is None:
-                raise InputError("--provider matrix requires --matrix")
-            space = MetricSpace.from_matrix(bases, load_matrix_csv(matrix_path))
-        else:
-            space = MetricSpace.great_circle(bases)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    space = _read_space(bases_path, matrix_path, provider)
     report = validate_metric(space, samples=samples, seed=seed)
     click.echo(report.summary())
     lane_trouble = None
@@ -183,7 +176,7 @@ def validate(bases_path, lanes_path, matrix_path, provider, samples, seed, force
 @click.option("--u-factor", type=float, default=None,
               help="Cap as a multiple of the client lane length (default 4).")
 @click.option("--k", type=int, default=None, help="Return only the k best rates.")
-@click.option("--algo", type=click.Choice(["brute", "quad", "pruned", "topk"]), default=None,
+@click.option("--algo", type=click.Choice(list(BACKENDS)), default=None,
               help="Backend (default: pruned, or topk when --k is given).")
 @click.option("--shapley", is_flag=True, help="Attach fair mileage-savings shares.")
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default="jsonl",
@@ -214,14 +207,10 @@ def match(lane_id, bases_path, lanes_path, matrix_path, provider, ell, u_km, u_f
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
-    if algo == "brute":
-        rs = enumerate_bruteforce(index, space, query)
-    elif algo == "quad":
-        rs = enumerate_quad(index, space, query)
-    elif algo == "pruned":
-        rs = enumerate_pruned(index, space, query)
-    else:
+    if algo == "topk":  # called by name, so wrappers around cli.enumerate_topk see it
         rs = enumerate_topk(index, space, query, deterministic=deterministic)
+    else:
+        rs = BACKENDS[algo](index, space, query)
 
     records = []
     for tr in rs.triangles:
@@ -241,7 +230,7 @@ def match(lane_id, bases_path, lanes_path, matrix_path, provider, ell, u_km, u_f
 @click.option("--queries", type=int, default=100, show_default=True,
               help="Client lanes sampled without replacement.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--algo", "algos", type=click.Choice(["brute", "quad", "pruned", "topk"]),
+@click.option("--algo", "algos", type=click.Choice(list(BACKENDS)),
               multiple=True, default=("pruned",), show_default=True)
 @click.option("--l", "ells", type=float, multiple=True,
               help="Rate grid (default 0.75..0.95 step 0.05).")

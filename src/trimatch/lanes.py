@@ -9,8 +9,10 @@ enumeration backends only ever touch candidates inside their bounds.
 from __future__ import annotations
 
 import csv
+import gc
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from .metric import MetricSpace, UnknownBaseError
@@ -86,12 +88,26 @@ def build_index(lanes, space: MetricSpace) -> LaneIndex:
     starts = frozenset(by_start)
 
     mat = space.distance_matrix()
-    start_positions = [(space.index_of(s), s) for s in sorted(starts)]
+    start_ids = sorted(starts)
+    start_pos = [space.index_of(s) for s in start_ids]
     neighbors: dict[str, list[tuple[str, float]]] = {}
-    for i, b in enumerate(space.base_ids):
-        row = mat[i]
-        keyed = sorted((row[j], s) for j, s in start_positions)
-        neighbors[b] = [(s, d) for d, s in keyed]
+    # |B| x |starts| new acyclic tuples. The cyclic GC is paused while they are
+    # made, then freeze + unfreeze moves every tracked object, these included,
+    # to the oldest generation, so no young collection traverses them (skipped
+    # if the caller has frozen objects: unfreeze would thaw those too).
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for b, row in zip(space.base_ids, mat):
+            # stable sort over starts in id order: ties stay in id order
+            neighbors[b] = sorted(zip(start_ids, map(row.__getitem__, start_pos)),
+                                  key=itemgetter(1))
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
     return LaneIndex(
         lanes=ordered,

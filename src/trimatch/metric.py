@@ -86,7 +86,6 @@ class MetricSpace:
                         raise ValueError(f"matrix row {i} contains invalid distance {v!r}")
         self.bases = bases
         self.provider = provider
-        self._matrix = matrix
         self._pos = {b.id: i for i, b in enumerate(bases)}
         self._dcache: list[list[float]] | None = matrix
         self.base_ids: tuple[str, ...] = tuple(b.id for b in bases)
@@ -127,18 +126,43 @@ class MetricSpace:
         """All-pairs distances, built once and cached.
 
         O(|B|^2) memory; the per-base neighbor lists need every pair anyway,
-        so index construction amortizes this.
+        so index construction amortizes this. A great-circle space evaluates
+        each unordered pair once, lower id first, and stores that one float
+        object at both (a, b) and (b, a).
         """
         if self._dcache is None:
-            n = len(self.bases)
-            self._dcache = [[self._haversine_pair(i, j) for j in range(n)] for i in range(n)]
+            self._dcache = _great_circle_matrix(self.bases)
         return self._dcache
 
-    def _haversine_pair(self, i: int, j: int) -> float:
-        ba, bb = self.bases[i], self.bases[j]
-        if ba.id > bb.id:
-            ba, bb = bb, ba
-        return _haversine_km(ba.lat, ba.lon, bb.lat, bb.lon)
+
+def _great_circle_matrix(bases: tuple[Base, ...]) -> list[list[float]]:
+    """`_haversine_km` over every pair, bit for bit, at one evaluation per pair.
+
+    Rows are built in id order: row r computes its pairs with every later id
+    and takes its earlier entries from the rows above it. cos(phi) is hoisted
+    per base; `x * deg` is exactly `math.radians(x)`, and clamping `a` before
+    the square root equals clamping after it, since sqrt is correctly rounded.
+    """
+    n = len(bases)
+    order = sorted(range(n), key=lambda p: bases[p].id)
+    lat = [bases[p].lat for p in order]
+    lon = [bases[p].lon for p in order]
+    deg = math.pi / 180.0
+    cos_phi = [math.cos(x * deg) for x in lat]
+    diameter = 2.0 * EARTH_RADIUS_KM
+    sin, asin, sqrt = math.sin, math.asin, math.sqrt
+    rows: list[list[float]] = []
+    for r in range(n):
+        lat1, lon1, cos1 = lat[r], lon[r], cos_phi[r]
+        hav = [sin((lat2 - lat1) * deg / 2.0) ** 2
+               + cos1 * cos2 * sin((lon2 - lon1) * deg / 2.0) ** 2
+               for lat2, lon2, cos2 in zip(lat[r + 1:], lon[r + 1:], cos_phi[r + 1:])]
+        rows.append([row[r] for row in rows] + [0.0]
+                    + [diameter * asin(sqrt(a if a < 1.0 else 1.0)) for a in hav])
+    if order == list(range(n)):
+        return rows
+    rank = sorted(range(n), key=order.__getitem__)  # position -> row in id order
+    return [[row[k] for k in rank] for row in (rows[r] for r in rank)]
 
 
 @dataclass(frozen=True)

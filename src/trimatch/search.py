@@ -102,34 +102,45 @@ def is_feasible(tr: Triangle, ell: float, u: float) -> bool:
     return tr.ovr >= ell and tr.total <= u
 
 
+# The bounds are exact in real arithmetic, but the float test `ovr >= ell and
+# total <= u` can pass a triangle a rounding error outside them. Each bound is
+# widened by BOUND_SLACK * u, a lane-length lower bound (which scales rate errors
+# by 1 / (1 - ell)) by BOUND_SLACK * u / (1 - ell): far above the few-ulp errors,
+# and harmless, since the inclusive final test still decides.
+BOUND_SLACK = 1e-9
+
+
 def bound_e1(ell: float, u: float, d1: float) -> float:
     """Largest first empty leg any qualifying triangle can have. May be negative."""
-    return min(u * (1.0 - ell), u - d1)
+    return min(u * (1.0 - ell), u - d1) + BOUND_SLACK * u
 
 
 def bound_d2(ell: float, u: float, d1: float, e1: float) -> tuple[float, float]:
     """Admissible second-lane length range (lower clamped to 0)."""
-    upper = u - (d1 + e1)
+    upper = u - (d1 + e1) + BOUND_SLACK * u
     if ell == 1.0:
         lower = 0.0
     else:
-        lower = max(0.0, (2.0 * ell - 1.0) / (2.0 * (1.0 - ell)) * e1 - d1)
+        lower = max(0.0, (2.0 * ell - 1.0) / (2.0 * (1.0 - ell)) * e1 - d1
+                    - BOUND_SLACK * u / (1.0 - ell))
     return lower, upper
 
 
 def bound_e2(ell: float, u: float, d1: float, e1: float, d2: float) -> float:
-    """Largest second empty leg; nonpositive whenever e1 already spends the slack."""
-    return min(u * (1.0 - ell) - e1, u - (d1 + e1 + d2))
+    """Largest second empty leg; at most BOUND_SLACK * u once e1 spends the
+    empty-mileage budget."""
+    return min(u * (1.0 - ell) - e1, u - (d1 + e1 + d2)) + BOUND_SLACK * u
 
 
 def bound_d3(ell: float, u: float, d1: float, e1: float, d2: float,
              e2: float) -> tuple[float, float]:
     """Admissible third-lane length range (lower clamped to 0)."""
-    upper = u - (d1 + e1 + d2 + e2)
+    upper = u - (d1 + e1 + d2 + e2) + BOUND_SLACK * u
     if ell == 1.0:
         lower = 0.0
     else:
-        lower = max(0.0, ell / (1.0 - ell) * (e1 + e2) - (d1 + d2))
+        lower = max(0.0, ell / (1.0 - ell) * (e1 + e2) - (d1 + d2)
+                    - BOUND_SLACK * u / (1.0 - ell))
     return lower, upper
 
 
@@ -417,3 +428,9 @@ def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query,
     visits = (v1, v2, v3, v4)
     stats = SearchStats(visits, sum(visits), perf_counter() - started, tuple(trace))
     return ResultSet(tris, ell, stats)
+
+
+# name -> backend for the CLI and the bench harness; each takes (index, space,
+# query), and topk also `deterministic`
+BACKENDS = {"brute": enumerate_bruteforce, "quad": enumerate_quad,
+            "pruned": enumerate_pruned, "topk": enumerate_topk}

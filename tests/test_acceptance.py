@@ -8,6 +8,8 @@ The heavy check is the scaled speed comparison (500 bases / 5000 lanes /
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trimatch import (Base, Query, bound_d2, bound_d3, bound_e1, bound_e2,
                       build_index, enumerate_bruteforce, enumerate_pruned,
@@ -21,6 +23,8 @@ from conftest import gc_instance, line_space, pick_lanes
 
 ELLS = (0.75, 0.9, 1.0)
 GRID = (0.75, 0.80, 0.85, 0.90, 0.95)
+TIE_ELLS = (0.5, 0.6, 0.7, 0.75, 0.8, 0.9, 0.95)
+TIE_US = (20.0, 30.0, 40.0, 60.0, 80.0)
 
 
 @contextmanager
@@ -92,6 +96,27 @@ def test_oracle_equivalence(small_world):
         assert compared == 25 * 3 * len(ELLS)
 
 
+def assert_topk_is_oracle_prefix(index, space, q, full):
+    """Both tie modes against the brute-force set `full`: equal-rate ties at
+    the cut are interchangeable, deterministic mode is bit-exact."""
+    ranked = by_rate(full)
+    got = enumerate_topk(index, space, q).triangles
+    expect = ranked[:q.k]
+    assert len(got) == len(expect)
+    assert [t.ovr for t in got] == [t.ovr for t in expect]
+    lookup = {(t.t2, t.t3): t for t in full}
+    for t in got:
+        ref = lookup[(t.t2, t.t3)]
+        assert t.ovr == ref.ovr and t.total == ref.total
+    if expect:
+        cut = expect[-1].ovr
+        assert {(t.t2, t.t3) for t in got if t.ovr > cut} == \
+               {(t.t2, t.t3) for t in expect if t.ovr > cut}
+    exact = enumerate_topk(index, space, q, deterministic=True).triangles
+    assert [(t.t2, t.t3, t.ovr) for t in exact] == \
+           [(t.t2, t.t3, t.ovr) for t in expect]
+
+
 def test_topk_correctness(small_world):
     with criterion("top-k equals sorted oracle prefix (ties interchangeable; "
                    "deterministic mode bit-exact)"):
@@ -101,24 +126,44 @@ def test_topk_correctness(small_world):
                 u = 4.0 * index.by_id[lane].dist
                 for ell in ELLS:
                     full = oracle(small_world, i, lane, ell).triangles
-                    ranked = by_rate(full)
                     for k in (1, 5, 20):
-                        q = Query(lane, ell, u, k=k)
-                        got = enumerate_topk(index, space, q).triangles
-                        expect = ranked[:k]
-                        assert len(got) == len(expect)
-                        assert [t.ovr for t in got] == [t.ovr for t in expect]
-                        lookup = {(t.t2, t.t3): t for t in full}
-                        for t in got:
-                            ref = lookup[(t.t2, t.t3)]
-                            assert t.ovr == ref.ovr and t.total == ref.total
-                        if expect:
-                            cut = expect[-1].ovr
-                            assert {(t.t2, t.t3) for t in got if t.ovr > cut} == \
-                                   {(t.t2, t.t3) for t in expect if t.ovr > cut}
-                        exact = enumerate_topk(index, space, q, deterministic=True).triangles
-                        assert [(t.t2, t.t3, t.ovr) for t in exact] == \
-                               [(t.t2, t.t3, t.ovr) for t in expect]
+                        assert_topk_is_oracle_prefix(index, space, Query(lane, ell, u, k=k), full)
+
+
+@st.composite
+def tied_line_instances(draw):
+    """4-8 bases at integer points of [0, 30], coincident points allowed, and
+    4-14 lanes of positive length: integer distances make exact rate and
+    mileage ties common."""
+    xs = draw(st.lists(st.integers(0, 30), min_size=4, max_size=8))
+    assume(len(set(xs)) >= 2)
+    space = line_space({f"p{i}": float(x) for i, x in enumerate(xs)})
+    ids = space.base_ids
+    ends = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(
+        lambda p: space.distance(*p) > 0.0)
+    pairs = draw(st.lists(ends, min_size=4, max_size=14))
+    lanes = [make_lane(f"t{j:02d}", a, b, space) for j, (a, b) in enumerate(pairs)]
+    return space, build_index(lanes, space)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_line_instances(), st.sampled_from(TIE_US))
+def check_tied_instance(instance, u):
+    space, index = instance
+    for t1 in index.lanes:
+        for ell in TIE_ELLS:
+            brute = enumerate_bruteforce(index, space, Query(t1.id, ell, u))
+            pruned = enumerate_pruned(index, space, Query(t1.id, ell, u))
+            assert sorted((t.t2, t.t3, t.ovr, t.total) for t in pruned.triangles) == \
+                   sorted((t.t2, t.t3, t.ovr, t.total) for t in brute.triangles)
+            assert_topk_is_oracle_prefix(index, space, Query(t1.id, ell, u, k=3),
+                                         brute.triangles)
+
+
+def test_oracle_equivalence_with_exact_ties():
+    with criterion("pruned and top-k (both tie modes) equal the oracle on "
+                   "tie-heavy integer line metrics"):
+        check_tied_instance()
 
 
 def test_bound_soundness_fuzz(small_world):

@@ -95,6 +95,14 @@ def test_validate_asymmetric_matrix_exits_3(runner, tmp_path):
     assert res.exit_code == 0
 
 
+def test_validate_matrix_provider_without_matrix_exits_2(runner, tmp_path):
+    (tmp_path / "bases.csv").write_text("base_id\np\nq\n")
+    res = runner.invoke(main, ["validate", "--bases", str(tmp_path / "bases.csv"),
+                               "--provider", "matrix"])
+    assert res.exit_code == 2
+    assert "requires --matrix" in res.output
+
+
 def test_validate_reports_lane_row_numbers(runner, tmp_path):
     runner.invoke(main, ["gen", "--n-bases", "5", "--n-lanes", "6", "--out", str(tmp_path)])
     lanes = tmp_path / "lanes.csv"
@@ -114,6 +122,17 @@ def test_match_pruned_on_tri4(runner, tmp_path):
     assert res.exit_code == 0, res.output
     records = [json.loads(line) for line in res.output.splitlines() if line.startswith("{")]
     assert len(records) == 2
+    assert {(r["t2"], r["t3"]) for r in records} == {("BC", "CA"), ("BC", "CD")}
+
+
+@pytest.mark.parametrize("algo", ["brute", "quad", "pruned"])
+def test_match_every_backend_prints_the_same_set(runner, tmp_path, algo):
+    write_tri4_files(tmp_path)
+    res = runner.invoke(main, ["match", "AB", *tri4_args(tmp_path), "--l", "0.9",
+                               "--algo", algo])
+    assert res.exit_code == 0, res.output
+    assert f"algo={algo}" in res.output
+    records = [json.loads(line) for line in res.output.splitlines() if line.startswith("{")]
     assert {(r["t2"], r["t3"]) for r in records} == {("BC", "CA"), ("BC", "CD")}
 
 

@@ -3,8 +3,8 @@ from collections import Counter
 
 import pytest
 
-from trimatch import (Lane, UnknownBaseError, build_index, lanes_in_range,
-                      load_lanes_csv, make_lane, neighbors_within)
+from trimatch import (Base, Lane, MetricSpace, UnknownBaseError, build_index,
+                      lanes_in_range, load_lanes_csv, make_lane, neighbors_within)
 
 from conftest import gc_instance, line_space
 
@@ -51,6 +51,17 @@ def test_neighbor_lists_cover_every_base():
         assert {s for s, _ in entries} == set(index.starts)
         dists = [d for _, d in entries]
         assert dists == sorted(dists)
+
+
+def test_neighbor_ties_at_identical_coordinates_order_by_id():
+    bases = [Base("c", 40.0, 140.0), Base("x", 35.0, 135.0), Base("a", 40.0, 140.0),
+             Base("b", 40.0, 140.0)]
+    space = MetricSpace.great_circle(bases)
+    lanes = [make_lane(f"l{s}", s, "x", space) for s in ("c", "b", "a")]
+    index = build_index(lanes, space)
+    d = space.distance("x", "a")
+    assert index.neighbors["x"] == [("a", d), ("b", d), ("c", d)]
+    assert index.neighbors["b"] == [("a", 0.0), ("b", 0.0), ("c", 0.0)]
 
 
 def test_index_roundtrips_the_input_multiset():

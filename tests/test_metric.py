@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from trimatch import (Base, MetricSpace, UnknownBaseError, load_bases_csv,
                       load_matrix_csv, validate_metric)
-from trimatch.metric import EARTH_RADIUS_KM
+from trimatch.generate import generate_instance
+from trimatch.metric import EARTH_RADIUS_KM, _haversine_km
 
 from conftest import gc_instance
 
@@ -59,6 +60,29 @@ def test_symmetry_is_bit_exact_on_random_pairs():
     for _ in range(100):
         a, b = rng.sample(ids, 2)
         assert space.distance(a, b) == space.distance(b, a)
+
+
+def test_distance_matrix_is_bit_identical_to_pairwise_haversine():
+    import random
+    bases, _ = generate_instance(80, 10, seed=23)
+    bases += [Base("anti1", 0.0, 0.0), Base("anti0", 0.0, 180.0),  # clamp path
+              Base("twin", bases[0].lat, bases[0].lon)]
+    random.Random(4).shuffle(bases)
+    assert [b.id for b in bases] != sorted(b.id for b in bases)
+    matrix = MetricSpace.great_circle(bases).distance_matrix()
+    for i, a in enumerate(bases):
+        for j, b in enumerate(bases):
+            lo, hi = (a, b) if a.id < b.id else (b, a)
+            want = _haversine_km(lo.lat, lo.lon, hi.lat, hi.lon)
+            assert matrix[i][j].hex() == want.hex(), (a.id, b.id)
+            assert matrix[i][j] is matrix[j][i]
+
+
+def test_from_matrix_serves_the_callers_matrix():
+    matrix = [[0.0, 3.0], [3.0, 0.0]]
+    space = MetricSpace.from_matrix([Base("1"), Base("0")], matrix)
+    assert space.distance_matrix() is matrix
+    assert matrix == [[0.0, 3.0], [3.0, 0.0]]
 
 
 def _reference_haversine(lat1, lon1, lat2, lon2):

@@ -7,6 +7,7 @@ from trimatch import (Query, UnknownLaneError, bound_d2, bound_d3, bound_e1,
                       bound_e2, build_index, enumerate_bruteforce,
                       enumerate_pruned, enumerate_quad, enumerate_topk,
                       evaluate, is_feasible, make_lane)
+from trimatch.search import BOUND_SLACK
 
 from conftest import gc_instance, line_space, pick_lanes, tri4
 
@@ -104,7 +105,7 @@ def test_feasibility_boundaries(tri4_instance):
 
 def test_bound_e1_values():
     assert bound_e1(0.95, 20.0, 10.0) == pytest.approx(1.0)
-    assert bound_e1(1.0, 20.0, 10.0) == 0.0
+    assert bound_e1(1.0, 20.0, 10.0) == BOUND_SLACK * 20.0  # zero widened by the float slack
     assert bound_e1(0.75, 400.0, 100.0) == pytest.approx(100.0)
     assert bound_e1(0.5, 10.0, 12.0) < 0.0  # infeasible cap: nothing qualifies
 
@@ -121,7 +122,7 @@ def test_bound_d2_values():
 
 
 def test_bound_e2_values():
-    assert bound_e2(0.95, 20.0, 10.0, 1.0, 5.0) == pytest.approx(0.0, abs=1e-12)
+    assert bound_e2(0.95, 20.0, 10.0, 1.0, 5.0) == pytest.approx(BOUND_SLACK * 20.0, abs=1e-12)
     assert bound_e2(1.0, 20.0, 5.0, 1.0, 5.0) <= 0.0
     assert bound_e2(0.95, 20.0, 10.0, 0.0, 0.0) == bound_e1(0.95, 20.0, 10.0)
 
