@@ -71,9 +71,9 @@ def build_index(lanes, space: MetricSpace) -> LaneIndex:
     for ln in lanes:
         if ln.id in by_id:
             raise ValueError(f"duplicate lane id {ln.id!r}")
-        if ln.start == ln.end:
-            raise ValueError(f"lane {ln.id!r}: zero-length (start == end)")
         exact = space.distance(ln.start, ln.end)  # also rejects unknown endpoints
+        if ln.start == ln.end or exact == 0.0:  # searches divide by total >= d1 > 0
+            raise ValueError(f"lane {ln.id!r}: zero length ({ln.start!r} to {ln.end!r})")
         if exact != ln.dist:
             raise ValueError(f"lane {ln.id!r}: cached dist {ln.dist!r} != {exact!r}")
         by_id[ln.id] = ln
@@ -176,11 +176,12 @@ def load_lanes_csv(path: str | Path, space: MetricSpace) -> list[Lane]:
             if bad:
                 problems.append(f"row {rownum}: unknown base id {bad[0]!r}")
                 continue
-            if start == end:
-                problems.append(f"row {rownum}: lane {lid!r} starts and ends at {start!r}")
+            lane = Lane(lid, start, end, space.distance(start, end), owner)
+            if start == end or lane.dist == 0.0:
+                problems.append(f"row {rownum}: lane {lid!r} has zero length ({start!r} to {end!r})")
                 continue
             seen.add(lid)
-            lanes.append(make_lane(lid, start, end, space, owner))
+            lanes.append(lane)
     if problems:
         raise ValueError(f"{path}: " + "; ".join(problems))
     return lanes

@@ -11,8 +11,14 @@ mileage stays within `u`. Four backends produce the same set:
            their lanes; no pruning
   pruned   quad plus distance-derived bounds that cut each loop to a sorted
            prefix / range
-  topk     pruned plus a size-k min-heap; the feasibility threshold rises to
-           the provisional kth-best rate as candidates accumulate
+  topk     the same bounded search keeping a size-k min-heap; the
+           feasibility threshold rises to the provisional kth-best rate as
+           candidates accumulate
+
+pruned and topk are one bounded kernel, `_bounded_search`, with different
+result sinks: pruned collects every triangle, topk keeps the k best and feeds
+the rising threshold back into the bounds. quad stays a separate, unpruned
+loop: it walks start bases in id order, not by distance.
 
 All backends compute the rate and mileage with one shared expression
 ordering, so feasibility decisions agree bit-for-bit across them.
@@ -23,7 +29,9 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import count
 from time import perf_counter
 
 from .lanes import Lane, LaneIndex, UnknownLaneError
@@ -72,9 +80,13 @@ class SearchStats:
     The brute backend reports its counts in closed form ((n-1), (n-1)(n-2))."""
 
     level_visits: tuple[int, ...]
-    candidates: int
     seconds: float
     ell_trace: tuple[float, ...] = ()
+
+    @property
+    def candidates(self) -> int:
+        """Loop bodies entered at all levels."""
+        return sum(self.level_visits)
 
 
 @dataclass
@@ -193,7 +205,7 @@ def enumerate_bruteforce(index: LaneIndex, space: MetricSpace, query: Query) -> 
         masked[j2] = keep
 
     visits = (n - 1, (n - 1) * (n - 2))
-    stats = SearchStats(visits, sum(visits), perf_counter() - started)
+    stats = SearchStats(visits, perf_counter() - started)
     return ResultSet(tris, query.ell, stats)
 
 
@@ -238,21 +250,23 @@ def enumerate_quad(index: LaneIndex, space: MetricSpace, query: Query) -> Result
                                                  e1, e2, e3, ovr, total))
 
     visits = (v1, v2, v3, v4)
-    stats = SearchStats(visits, sum(visits), perf_counter() - started)
+    stats = SearchStats(visits, perf_counter() - started)
     return ResultSet(tris, query.ell, stats)
 
 
-def enumerate_pruned(index: LaneIndex, space: MetricSpace, query: Query) -> ResultSet:
-    """Bounded search over the sorted index structures.
+def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
+                    u: float, accept: Callable[[Triangle], float]) -> tuple[int, ...]:
+    """The four bounded loops behind `pruned` and `topk`; returns level_visits.
 
     Each loop only scans the neighbor prefix / lane range its bound admits,
     and partial cycles that already cannot return within `u` are dropped as
-    soon as the triangle inequality exposes them. Output is identical to the
-    brute-force set.
+    soon as the triangle inequality exposes them. Every triangle passing the
+    inclusive final test goes to `accept(tri)`, which returns the rate
+    threshold for the rest of the search. When it rises, the two bounds
+    hoisted out of their loops are recomputed, which gives the same scans as
+    re-reading them on every iteration: each depends only on `ell` and on
+    values fixed inside its loop.
     """
-    started = perf_counter()
-    t1 = _client_lane(index, query.t1)
-    ell, u = query.ell, query.u
     d1 = t1.dist
     mat = space.distance_matrix()
     opos = space.index_of(t1.start)
@@ -261,7 +275,6 @@ def enumerate_pruned(index: LaneIndex, space: MetricSpace, query: Query) -> Resu
     by_start = index.by_start
     start_dists = index.start_dists
 
-    tris: list[Triangle] = []
     v1 = v2 = v3 = v4 = 0
     b1 = bound_e1(ell, u, d1)
     for s, e1 in neighbors[t1.end]:
@@ -303,23 +316,40 @@ def enumerate_pruned(index: LaneIndex, space: MetricSpace, query: Query) -> Resu
                     if total <= u:
                         ovr = (num2 + d3) / total
                         if ovr >= ell:
-                            tris.append(Triangle(t1.id, t2.id, t3.id, d1, d2, d3,
-                                                 e1, e2, e3, ovr, total))
+                            floor = accept(Triangle(t1.id, t2.id, t3.id, d1, d2, d3,
+                                                    e1, e2, e3, ovr, total))
+                            if floor != ell:
+                                ell = floor
+                                b1 = bound_e1(ell, u, d1)
+                                b3 = bound_e2(ell, u, d1, e1, d2)
+    return v1, v2, v3, v4
 
-    visits = (v1, v2, v3, v4)
-    stats = SearchStats(visits, sum(visits), perf_counter() - started)
-    return ResultSet(tris, query.ell, stats)
+
+def enumerate_pruned(index: LaneIndex, space: MetricSpace, query: Query) -> ResultSet:
+    """Bounded search that keeps every qualifying triangle. Output is
+    identical to the brute-force set."""
+    started = perf_counter()
+    t1 = _client_lane(index, query.t1)
+    ell = query.ell
+    tris: list[Triangle] = []
+
+    def collect(tri: Triangle) -> float:
+        tris.append(tri)
+        return ell
+
+    visits = _bounded_search(index, space, t1, ell, query.u, collect)
+    return ResultSet(tris, ell, SearchStats(visits, perf_counter() - started))
 
 
 class _RankedCandidate:
-    """Heap entry for deterministic top-k: heap[0] is the worst-ranked entry,
-    i.e. lowest rate, and among equal rates the largest (t2, t3) pair."""
+    """Top-k heap entry: heap[0] is the worst-ranked entry, i.e. lowest rate,
+    and among equal rates the largest tie key."""
 
     __slots__ = ("ovr", "tie", "tri")
 
-    def __init__(self, tri: Triangle):
+    def __init__(self, tri: Triangle, tie):
         self.ovr = tri.ovr
-        self.tie = (tri.t2, tri.t3)
+        self.tie = tie
         self.tri = tri
 
     def __lt__(self, other: "_RankedCandidate") -> bool:
@@ -337,97 +367,36 @@ def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query,
     insertion, shrinking all four scan ranges for the rest of the run.
 
     With deterministic=False a candidate tying the provisional kth rate
-    replaces the incumbent minimum. With deterministic=True ties are settled
-    by ascending (t2, t3) ids, which makes the surviving set equal the top-k
-    prefix of the full result ordered by (rate desc, t2, t3).
+    replaces the incumbent minimum: the tie key is -arrival, so the oldest
+    entry ranks worst. With deterministic=True the tie key is (t2, t3), which
+    makes the surviving set equal the top-k prefix of the full result ordered
+    by (rate desc, t2, t3).
     """
     if query.k is None:
         raise ValueError("top-k search needs query.k")
     started = perf_counter()
     t1 = _client_lane(index, query.t1)
-    ell, u = query.ell, query.u
     k = query.k
-    d1 = t1.dist
-    mat = space.distance_matrix()
-    opos = space.index_of(t1.start)
-    to_origin = {b: mat[i][opos] for i, b in enumerate(space.base_ids)}
-    neighbors = index.neighbors
-    by_start = index.by_start
-    start_dists = index.start_dists
-
-    heap: list = []
-    seq = 0
+    ell = query.ell
+    heap: list[_RankedCandidate] = []
     trace: list[float] = []
-    v1 = v2 = v3 = v4 = 0
-    for s, e1 in neighbors[t1.end]:
-        if e1 > bound_e1(ell, u, d1):
-            break
-        v1 += 1
-        if u < d1 + e1 + to_origin[s]:
-            continue
-        lb2, ub2 = bound_d2(ell, u, d1, e1)
-        group = by_start[s]
-        for t2 in group[bisect_left(start_dists[s], lb2):]:
-            d2 = t2.dist
-            if d2 > ub2:
-                break
-            if t2.id == t1.id:
-                continue
-            v2 += 1
-            if u < d1 + e1 + d2 + to_origin[t2.end]:
-                continue
-            num2 = d1 + d2
-            for s2, e2 in neighbors[t2.end]:
-                if e2 > bound_e2(ell, u, d1, e1, d2):
-                    break
-                v3 += 1
-                if u < d1 + e1 + d2 + e2 + to_origin[s2]:
-                    continue
-                lb4, ub4 = bound_d3(ell, u, d1, e1, d2, e2)
-                group2 = by_start[s2]
-                for t3 in group2[bisect_left(start_dists[s2], lb4):]:
-                    d3 = t3.dist
-                    if d3 > ub4:
-                        break
-                    if t3.id == t1.id or t3.id == t2.id:
-                        continue
-                    v4 += 1
-                    e3 = to_origin[t3.end]
-                    total = d1 + e1 + d2 + e2 + d3 + e3
-                    if total > u:
-                        continue
-                    ovr = (num2 + d3) / total
-                    if ovr < ell:
-                        continue
-                    tri = Triangle(t1.id, t2.id, t3.id, d1, d2, d3,
-                                   e1, e2, e3, ovr, total)
-                    if deterministic:
-                        cand = _RankedCandidate(tri)
-                        if len(heap) == k:
-                            worst = heap[0]
-                            if ovr > worst.ovr or (ovr == worst.ovr and cand.tie < worst.tie):
-                                heapq.heapreplace(heap, cand)
-                        else:
-                            heapq.heappush(heap, cand)
-                        floor = heap[0].ovr
-                    else:
-                        if len(heap) == k:
-                            heapq.heappop(heap)
-                        heapq.heappush(heap, (ovr, seq, tri))
-                        seq += 1
-                        floor = heap[0][0]
-                    if len(heap) == k and floor > ell:
-                        ell = floor
-                        trace.append(ell)
+    arrivals = count()
 
-    if deterministic:
-        tris = [entry.tri for entry in heap]
-    else:
-        tris = [entry[2] for entry in heap]
-    tris.sort(key=lambda t: (-t.ovr, t.t2, t.t3))
-    visits = (v1, v2, v3, v4)
-    stats = SearchStats(visits, sum(visits), perf_counter() - started, tuple(trace))
-    return ResultSet(tris, ell, stats)
+    def keep_best(tri: Triangle) -> float:
+        nonlocal ell
+        cand = _RankedCandidate(tri, (tri.t2, tri.t3) if deterministic else -next(arrivals))
+        if len(heap) < k:
+            heapq.heappush(heap, cand)
+        elif heap[0] < cand:
+            heapq.heapreplace(heap, cand)
+        if len(heap) == k and heap[0].ovr > ell:
+            ell = heap[0].ovr
+            trace.append(ell)
+        return ell
+
+    visits = _bounded_search(index, space, t1, ell, query.u, keep_best)
+    tris = sorted((entry.tri for entry in heap), key=lambda t: (-t.ovr, t.t2, t.t3))
+    return ResultSet(tris, ell, SearchStats(visits, perf_counter() - started, tuple(trace)))
 
 
 # name -> backend for the CLI and the bench harness; each takes (index, space,

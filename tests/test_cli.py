@@ -154,6 +154,33 @@ def test_match_unknown_lane_exits_2(runner, tmp_path):
     assert "ZZ" in res.output
 
 
+def write_zero_length_files(root: Path):
+    """Three bases 0 km apart: a matrix the metric gate accepts, whose lanes
+    a->b, b->c, c->a all have length 0."""
+    (root / "bases.csv").write_text("base_id\na\nb\nc\n")
+    (root / "matrix.csv").write_text("0,0,0\n0,0,0\n0,0,0\n")
+    (root / "lanes.csv").write_text(
+        "lane_id,origin_base_id,dest_base_id\nx,a,b\ny,b,c\nz,c,a\n")
+    return ["--bases", str(root / "bases.csv"), "--lanes", str(root / "lanes.csv"),
+            "--matrix", str(root / "matrix.csv"), "--provider", "matrix"]
+
+
+def test_match_zero_length_lanes_exit_2(runner, tmp_path):
+    args = write_zero_length_files(tmp_path)
+    res = runner.invoke(main, ["match", "x", *args, "--u-km", "10", "--l", "0.5"])
+    assert res.exit_code == 2, res.output
+    assert "row 2: lane 'x' has zero length" in res.output
+    assert "row 4: lane 'z' has zero length" in res.output
+
+
+def test_validate_zero_length_lanes_exit_3(runner, tmp_path):
+    args = write_zero_length_files(tmp_path)
+    res = runner.invoke(main, ["validate", *args])
+    assert res.exit_code == 3, res.output
+    assert "violations=0" in res.output  # the metric itself passes
+    assert "row 3: lane 'y' has zero length" in res.output
+
+
 def test_match_rejects_bad_rate(runner, tmp_path):
     write_tri4_files(tmp_path)
     res = runner.invoke(main, ["match", "AB", *tri4_args(tmp_path), "--l", "1.2"])

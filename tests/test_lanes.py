@@ -90,6 +90,22 @@ def test_stale_cached_distance_rejected():
         build_index([Lane("x", "A", "B", 2.0)], space)
 
 
+def test_zero_length_lane_between_coincident_bases_rejected():
+    """Distinct bases at one point make a lane whose triangles have no rate."""
+    space = line_space({"A": 0.0, "B": 0.0, "C": 1.0})
+    lanes = [make_lane("ac", "A", "C", space), make_lane("ab", "A", "B", space)]
+    with pytest.raises(ValueError, match="'ab': zero length"):
+        build_index(lanes, space)
+
+
+def test_lanes_csv_reports_zero_length_rows(tmp_path):
+    space = line_space({"A": 0.0, "B": 0.0, "C": 1.0})
+    p = tmp_path / "lanes.csv"
+    p.write_text("lane_id,origin_base_id,dest_base_id\nok,A,C\nflat,A,B\n")
+    with pytest.raises(ValueError, match="row 3: lane 'flat' has zero length"):
+        load_lanes_csv(p, space)
+
+
 def test_neighbors_within_line_example():
     space = line_space({"p0": 0.0, "p4": 4.0, "p10": 10.0})
     lanes = [
