@@ -1,8 +1,9 @@
 """Batch benchmark harness: run seeded query sets over a grid of desired
 rates and algorithms, collect per-query rows, aggregate per grid cell.
 
-Wall time is measured per query on a monotonic clock and never includes
-index construction; build time is reported separately by the CLI.
+Wall time is each backend's own per-query reading (`SearchStats.seconds`,
+a monotonic clock) and never includes index construction; build time is
+reported separately by the CLI.
 """
 
 from __future__ import annotations
@@ -11,13 +12,11 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
-from time import perf_counter
 
 from .lanes import LaneIndex
 from .metric import MetricSpace
 from .search import BACKENDS, Query
 
-ALGORITHMS = tuple(BACKENDS)
 DEFAULT_ELL_GRID = (0.75, 0.80, 0.85, 0.90, 0.95)
 
 
@@ -59,7 +58,7 @@ def run_queries(index: LaneIndex, space: MetricSpace, lane_ids, algos, ells,
                 k: int | None = None, deterministic: bool = False) -> list[QueryRow]:
     """One row per (ell, algo, lane). All cells see the identical query list."""
     for algo in algos:
-        if algo not in ALGORITHMS:
+        if algo not in BACKENDS:
             raise ValueError(f"unknown algorithm {algo!r}")
     if k is None and "topk" in algos:
         raise ValueError("topk benchmarking needs k")
@@ -71,10 +70,8 @@ def run_queries(index: LaneIndex, space: MetricSpace, lane_ids, algos, ells,
             for lane_id in lane_ids:
                 u = u_km if u_km is not None else u_factor * index.by_id[lane_id].dist
                 query = Query(lane_id, ell, u, k if algo == "topk" else None)
-                started = perf_counter()
                 rs = search(index, space, query, **opts)
-                wall = perf_counter() - started
-                rows.append(QueryRow(lane_id, algo, ell, u, query.k, wall,
+                rows.append(QueryRow(lane_id, algo, ell, u, query.k, rs.stats.seconds,
                                      len(rs.triangles), rs.stats.candidates,
                                      rs.stats.level_visits, rs.ell_star))
     return rows

@@ -36,6 +36,8 @@ def main():
 
 
 def _read_space(bases_path: str, matrix_path: str | None, provider: str) -> MetricSpace:
+    if matrix_path is not None and provider != MATRIX:
+        raise InputError("--matrix requires --provider matrix")
     try:
         bases = load_bases_csv(bases_path)
         if provider == MATRIX:
@@ -97,18 +99,12 @@ def _emit_records(records: list[dict], fmt: str, out: str | None) -> None:
         writer = csv.writer(buf)
         writer.writerow(cols)
         for rec in records:
-            flat = {
-                "t1": rec["t1"], "t2": rec["t2"], "t3": rec["t3"],
-                "d1": f"{rec['d'][0]:.3f}", "d2": f"{rec['d'][1]:.3f}", "d3": f"{rec['d'][2]:.3f}",
-                "e1": f"{rec['e'][0]:.3f}", "e2": f"{rec['e'][1]:.3f}", "e3": f"{rec['e'][2]:.3f}",
-                "ovr": f"{rec['ovr']:.6f}", "total": f"{rec['total']:.3f}",
-            }
-            if "shapley" in rec:
-                for i in range(3):
-                    flat[f"shapley{i + 1}"] = f"{rec['shapley'][i]:.3f}"
+            row = [rec["t1"], rec["t2"], rec["t3"], *(f"{v:.3f}" for v in rec["d"] + rec["e"]),
+                   f"{rec['ovr']:.6f}", f"{rec['total']:.3f}"]
+            row += [f"{v:.3f}" for v in rec.get("shapley", ())]
             if "ell_star" in rec:
-                flat["ell_star"] = f"{rec['ell_star']:.6f}"
-            writer.writerow([flat[c] for c in cols])
+                row.append(f"{rec['ell_star']:.6f}")
+            writer.writerow(row)
         text = buf.getvalue()
     if out:
         Path(out).write_text(text)
@@ -141,7 +137,7 @@ def gen(n_bases, n_lanes, seed, out):
 @click.option("--matrix", "matrix_path", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--provider", type=click.Choice([GREAT_CIRCLE, MATRIX]), default=GREAT_CIRCLE,
               show_default=True)
-@click.option("--samples", type=int, default=1000, show_default=True,
+@click.option("--samples", type=click.IntRange(min=0), default=1000, show_default=True,
               help="Random triples for the triangle-inequality check.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--force", is_flag=True, help="Report violations but exit 0.")
@@ -154,7 +150,6 @@ def validate(bases_path, lanes_path, matrix_path, provider, samples, seed, force
     if lanes_path is not None:
         try:
             lanes = load_lanes_csv(lanes_path, space)
-            build_index(lanes, space)
             click.echo(f"lanes: {len(lanes)} rows ok")
         except ValueError as exc:
             lane_trouble = str(exc)

@@ -27,6 +27,8 @@ def generate_bases(n_bases: int, rng: random.Random) -> list[Base]:
 def generate_lane_rows(n_lanes: int, base_ids: list[str],
                        rng: random.Random) -> list[tuple[str, str, str]]:
     """Sample n_lanes distinct ordered pairs of bases as (lane_id, start, end)."""
+    if n_lanes < 0:
+        raise ValueError(f"lane count must be >= 0, got {n_lanes}")
     n = len(base_ids)
     max_pairs = n * (n - 1)
     if n_lanes > max_pairs:

@@ -45,12 +45,11 @@ class LaneIndex:
     """Read-only after build_index; safe to share across concurrent queries.
 
     lanes          all lanes, sorted by id
+    by_id          lane id -> lane
     by_start       start base -> lanes leaving it, sorted by (dist, id)
     start_dists    parallel sort keys for by_start, for bisecting
     starts         bases with at least one outgoing lane
     neighbors      every base -> [(start base, distance)] sorted by (distance, id)
-    lane_pos       lane id -> position in `lanes`
-    start_ix/end_ix/dists   per-lane base positions and lengths, aligned with `lanes`
     """
 
     lanes: tuple[Lane, ...]
@@ -59,10 +58,6 @@ class LaneIndex:
     start_dists: dict[str, list[float]]
     starts: frozenset[str]
     neighbors: dict[str, list[tuple[str, float]]]
-    lane_pos: dict[str, int]
-    start_ix: list[int]
-    end_ix: list[int]
-    dists: list[float]
 
 
 def build_index(lanes, space: MetricSpace) -> LaneIndex:
@@ -116,10 +111,6 @@ def build_index(lanes, space: MetricSpace) -> LaneIndex:
         start_dists=start_dists,
         starts=starts,
         neighbors=neighbors,
-        lane_pos={l.id: p for p, l in enumerate(ordered)},
-        start_ix=[space.index_of(l.start) for l in ordered],
-        end_ix=[space.index_of(l.end) for l in ordered],
-        dists=[l.dist for l in ordered],
     )
 
 

@@ -273,8 +273,17 @@ def load_bases_csv(path: str | Path) -> list[Base]:
 def load_matrix_csv(path: str | Path) -> list[list[float]]:
     """Read a square km grid, one row per line, no header."""
     path = Path(path)
+    rows: list[list[float]] = []
     with path.open(newline="") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
+        for rownum, row in enumerate(csv.reader(fh), start=1):
+            values = []
+            for v in row:
+                try:
+                    values.append(float(v))
+                except ValueError:
+                    raise ValueError(f"{path} row {rownum}: bad distance {v!r}") from None
+            if values:
+                rows.append(values)
     if not rows:
         raise ValueError(f"{path}: empty matrix")
     return rows

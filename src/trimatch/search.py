@@ -32,6 +32,7 @@ from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import count
+from operator import attrgetter
 from time import perf_counter
 
 from .lanes import Lane, LaneIndex, UnknownLaneError
@@ -105,6 +106,8 @@ def evaluate(t1: Lane, t2: Lane, t3: Lane, space: MetricSpace) -> Triangle:
     e2 = space.distance(t2.end, t3.start)
     e3 = space.distance(t3.end, t1.start)
     total = d1 + e1 + d2 + e2 + d3 + e3
+    if total == 0.0:
+        raise ValueError(f"lanes {t1.id}, {t2.id}, {t3.id} have zero total mileage")
     ovr = (d1 + d2 + d3) / total
     return Triangle(t1.id, t2.id, t3.id, d1, d2, d3, e1, e2, e3, ovr, total)
 
@@ -164,7 +167,8 @@ def _client_lane(index: LaneIndex, lane_id: str) -> Lane:
 
 
 def enumerate_bruteforce(index: LaneIndex, space: MetricSpace, query: Query) -> ResultSet:
-    """Exhaustive double loop over ordered lane pairs. Correctness reference."""
+    """Exhaustive double loop over ordered lane pairs. Correctness reference.
+    Builds its own per-lane arrays per call: O(|T|) next to its O(|T|^2) loop."""
     started = perf_counter()
     t1 = _client_lane(index, query.t1)
     ell, u = query.ell, query.u
@@ -173,14 +177,14 @@ def enumerate_bruteforce(index: LaneIndex, space: MetricSpace, query: Query) -> 
     n = len(lanes)
     mat = space.distance_matrix()
     opos = space.index_of(t1.start)
-    start_ix = index.start_ix
-    dists = index.dists
-    to_origin = [mat[e][opos] for e in index.end_ix]  # e3 per candidate t3
+    start_ix = [space.index_of(l.start) for l in lanes]
+    end_ix = [space.index_of(l.end) for l in lanes]
+    to_origin = [mat[e][opos] for e in end_ix]  # e3 per candidate t3
     row1 = mat[space.index_of(t1.end)]
-    i1 = index.lane_pos[t1.id]
+    i1 = bisect_left(lanes, t1.id, key=attrgetter("id"))  # lanes are sorted by id
 
     inf = math.inf
-    masked = list(dists)
+    masked = [l.dist for l in lanes]
     masked[i1] = inf  # masked lanes can never satisfy total <= u
     tris: list[Triangle] = []
     for j2 in range(n):
@@ -188,10 +192,10 @@ def enumerate_bruteforce(index: LaneIndex, space: MetricSpace, query: Query) -> 
             continue
         l2 = lanes[j2]
         e1 = row1[start_ix[j2]]
-        d2 = dists[j2]
+        d2 = l2.dist
         base = d1 + e1 + d2
         num2 = d1 + d2
-        row2 = mat[index.end_ix[j2]]
+        row2 = mat[end_ix[j2]]
         keep = masked[j2]
         masked[j2] = inf
         for l3, s3, d3, e3 in zip(lanes, start_ix, masked, to_origin):

@@ -73,6 +73,14 @@ def test_gen_rejects_tiny_or_oversized(runner, tmp_path):
     assert "6" in res.output  # names the pair budget
 
 
+def test_gen_negative_lane_count_exits_2(runner, tmp_path):
+    res = runner.invoke(main, ["gen", "--n-bases", "5", "--n-lanes", "-3",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "-3" in res.output
+    assert not (tmp_path / "lanes.csv").exists()
+
+
 # --- validate ----------------------------------------------------------------
 
 def test_validate_clean_great_circle(runner, tmp_path):
@@ -101,6 +109,37 @@ def test_validate_matrix_provider_without_matrix_exits_2(runner, tmp_path):
                                "--provider", "matrix"])
     assert res.exit_code == 2
     assert "requires --matrix" in res.output
+
+
+def test_validate_negative_samples_exits_2(runner, tmp_path):
+    runner.invoke(main, ["gen", "--n-bases", "5", "--n-lanes", "6", "--out", str(tmp_path)])
+    res = runner.invoke(main, ["validate", "--bases", str(tmp_path / "bases.csv"),
+                               "--samples", "-1"])
+    assert res.exit_code == 2
+    assert "--samples" in res.output and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("command", ["validate", "match"])
+def test_matrix_without_matrix_provider_exits_2(runner, tmp_path, command):
+    runner.invoke(main, ["gen", "--n-bases", "5", "--n-lanes", "6", "--out", str(tmp_path)])
+    (tmp_path / "matrix.csv").write_text("\n".join(["0,1,1,1,1"] * 5) + "\n")
+    args = ["--bases", str(tmp_path / "bases.csv"), "--matrix", str(tmp_path / "matrix.csv")]
+    if command == "match":
+        args = ["l0001", *args, "--lanes", str(tmp_path / "lanes.csv"), "--l", "0.8"]
+    res = runner.invoke(main, [command, *args])
+    assert res.exit_code == 2
+    assert "--matrix requires --provider matrix" in res.output
+
+
+def test_bad_matrix_entry_exits_2_with_its_row(runner, tmp_path):
+    write_tri4_files(tmp_path)
+    matrix = tmp_path / "matrix.csv"
+    rows = matrix.read_text().splitlines()
+    rows[2] = rows[2].replace("6.0", "zz", 1)
+    matrix.write_text("\n".join(rows) + "\n")
+    res = runner.invoke(main, ["match", "AB", *tri4_args(tmp_path), "--l", "0.9"])
+    assert res.exit_code == 2
+    assert "matrix.csv row 3: bad distance 'zz'" in res.output
 
 
 def test_validate_reports_lane_row_numbers(runner, tmp_path):

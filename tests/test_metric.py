@@ -174,3 +174,10 @@ def test_bases_csv_matrix_mode(tmp_path):
     matrix = load_matrix_csv(tmp_path / "matrix.csv")
     space = MetricSpace.from_matrix(bases, matrix)
     assert space.distance("n1", "n2") == 3.0
+
+
+def test_matrix_csv_names_the_bad_row(tmp_path):
+    path = tmp_path / "matrix.csv"
+    path.write_text("0,3\n3,zz\n")
+    with pytest.raises(ValueError, match=r"matrix.csv row 2: bad distance 'zz'"):
+        load_matrix_csv(path)

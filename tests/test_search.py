@@ -80,6 +80,13 @@ def test_evaluate_rejects_duplicates(tri4_instance):
         evaluate(ab, ab, bc, space)
 
 
+def test_evaluate_zero_total_mileage_names_the_lanes():
+    space = line_space({"a": 0.0, "b": 0.0, "c": 0.0})  # an all-zero matrix
+    ab, bc, ca = (make_lane(s + e, s, e, space) for s, e in ("ab", "bc", "ca"))
+    with pytest.raises(ValueError, match="ab, bc, ca"):
+        evaluate(ab, bc, ca, space)
+
+
 def test_cyclic_rotations_agree():
     space, index = gc_instance(15, 40, seed=22)
     rng = random.Random(1)
