@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .lanes import LaneIndex
 from .metric import MetricSpace
@@ -106,15 +106,4 @@ def aggregate(rows) -> dict[tuple[float, str], CellStats]:
 
 
 def row_to_dict(row: QueryRow) -> dict:
-    return {
-        "lane": row.lane,
-        "algo": row.algo,
-        "ell": row.ell,
-        "u": round(row.u, 3),
-        "k": row.k,
-        "wall_seconds": row.wall_seconds,
-        "result_size": row.result_size,
-        "candidates": row.candidates,
-        "level_visits": list(row.level_visits),
-        "ell_star": row.ell_star,
-    }
+    return {**asdict(row), "u": round(row.u, 3), "level_visits": list(row.level_visits)}

@@ -11,19 +11,23 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from time import perf_counter
 
 import click
 
-from .bench import (DEFAULT_ELL_GRID, aggregate, row_to_dict, run_queries,
-                    sample_query_lanes)
+from .bench import (DEFAULT_ELL_GRID, QueryRow, aggregate, row_to_dict,
+                    run_queries, sample_query_lanes)
 from .costshare import shapley_split
 from .generate import generate_instance, write_instance
 from .lanes import LaneIndex, build_index, load_lanes_csv
-from .metric import (GREAT_CIRCLE, MATRIX, MetricSpace, UnknownBaseError,
-                     load_bases_csv, load_matrix_csv, validate_metric)
+from .metric import (MetricSpace, UnknownBaseError, load_bases_csv,
+                     load_matrix_csv, validate_metric)
 from .search import BACKENDS, Query, enumerate_topk
+
+GREAT_CIRCLE = "greatcircle"
+MATRIX = "matrix"
 
 
 class InputError(click.ClickException):
@@ -63,6 +67,12 @@ def _load_space(bases_path: str, matrix_path: str | None, provider: str,
     return space
 
 
+def _u_factor(u_km: float | None, u_factor: float | None) -> float:
+    if u_km is not None and u_factor is not None:
+        raise InputError("--u-km and --u-factor are mutually exclusive")
+    return 4.0 if u_factor is None else u_factor
+
+
 def _load_index(lanes_path: str, space: MetricSpace) -> LaneIndex:
     try:
         return build_index(load_lanes_csv(lanes_path, space), space)
@@ -85,15 +95,16 @@ def _triangle_record(tr, shares=None, ell_star=None) -> dict:
     return rec
 
 
-def _emit_records(records: list[dict], fmt: str, out: str | None) -> None:
+def _emit_records(records: list[dict], fmt: str, out: str | None,
+                  shapley: bool, ranked: bool) -> None:
     if fmt == "jsonl":
         lines = [json.dumps(rec) for rec in records]
         text = "\n".join(lines) + ("\n" if lines else "")
     else:
         cols = ["t1", "t2", "t3", "d1", "d2", "d3", "e1", "e2", "e3", "ovr", "total"]
-        if records and "shapley" in records[0]:
+        if shapley:
             cols += ["shapley1", "shapley2", "shapley3"]
-        if records and "ell_star" in records[0]:
+        if ranked:
             cols.append("ell_star")
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -183,8 +194,7 @@ def validate(bases_path, lanes_path, matrix_path, provider, samples, seed, force
 def match(lane_id, bases_path, lanes_path, matrix_path, provider, ell, u_km, u_factor,
           k, algo, shapley, fmt, out, deterministic, force):
     """List feasible triangular transports containing LANE_ID."""
-    if u_km is not None and u_factor is not None:
-        raise InputError("--u-km and --u-factor are mutually exclusive")
+    u_factor = _u_factor(u_km, u_factor)
     algo = algo or ("topk" if k is not None else "pruned")
     if algo == "topk" and k is None:
         raise InputError("--algo topk requires --k")
@@ -196,7 +206,7 @@ def match(lane_id, bases_path, lanes_path, matrix_path, provider, ell, u_km, u_f
     if lane_id not in index.by_id:
         raise InputError(f"unknown lane id {lane_id!r}")
     t1 = index.by_id[lane_id]
-    u = u_km if u_km is not None else (u_factor if u_factor is not None else 4.0) * t1.dist
+    u = u_km if u_km is not None else u_factor * t1.dist
     try:
         query = Query(lane_id, ell, u, k)
     except ValueError as exc:
@@ -212,7 +222,7 @@ def match(lane_id, bases_path, lanes_path, matrix_path, provider, ell, u_km, u_f
         shares = shapley_split(tr, index, space).shares if shapley else None
         records.append(_triangle_record(
             tr, shares, rs.ell_star if algo == "topk" else None))
-    _emit_records(records, fmt, out)
+    _emit_records(records, fmt, out, shapley, algo == "topk")
     click.echo(f"{len(records)} triangles (ell={ell}, u={u:.3f}, algo={algo})", err=True)
 
 
@@ -229,8 +239,9 @@ def match(lane_id, bases_path, lanes_path, matrix_path, provider, ell, u_km, u_f
               multiple=True, default=("pruned",), show_default=True)
 @click.option("--l", "ells", type=float, multiple=True,
               help="Rate grid (default 0.75..0.95 step 0.05).")
-@click.option("--u-factor", type=float, default=4.0, show_default=True)
-@click.option("--u-km", type=float, default=None)
+@click.option("--u-factor", type=float, default=None,
+              help="Cap as a multiple of the client lane length (default 4).")
+@click.option("--u-km", type=float, default=None, help="Absolute mileage cap in km.")
 @click.option("--k", type=int, default=20, show_default=True, help="k for the topk backend.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write per-query rows here.")
@@ -241,6 +252,7 @@ def match(lane_id, bases_path, lanes_path, matrix_path, provider, ell, u_km, u_f
 def bench(bases_path, lanes_path, matrix_path, provider, queries, seed, algos, ells,
           u_factor, u_km, k, out, fmt, deterministic, force):
     """Run a query batch over a rate grid and summarize per grid cell."""
+    u_factor = _u_factor(u_km, u_factor)
     space = _load_space(bases_path, matrix_path, provider, force)
     build_start = perf_counter()
     index = _load_index(lanes_path, space)
@@ -261,13 +273,11 @@ def bench(bases_path, lanes_path, matrix_path, provider, queries, seed, algos, e
             Path(out).write_text(text)
         else:
             buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(["lane", "algo", "ell", "u", "k", "wall_seconds",
-                             "result_size", "candidates", "level_visits", "ell_star"])
+            writer = csv.DictWriter(buf, [f.name for f in fields(QueryRow)])
+            writer.writeheader()
             for r in rows:
-                writer.writerow([r.lane, r.algo, r.ell, f"{r.u:.3f}", r.k if r.k else "",
-                                 repr(r.wall_seconds), r.result_size, r.candidates,
-                                 "/".join(map(str, r.level_visits)), repr(r.ell_star)])
+                writer.writerow({**row_to_dict(r), "u": f"{r.u:.3f}",
+                                 "level_visits": "/".join(map(str, r.level_visits))})
             Path(out).write_text(buf.getvalue())
         click.echo(f"rows: {len(rows)} written to {out}")
 

@@ -16,9 +16,6 @@ from pathlib import Path
 
 EARTH_RADIUS_KM = 6371.0088
 
-GREAT_CIRCLE = "greatcircle"
-MATRIX = "matrix"
-
 
 class UnknownBaseError(LookupError):
     """Raised when a base id is not registered in the space."""
@@ -44,7 +41,8 @@ def _haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 
 
 class MetricSpace:
-    """Immutable base registry plus a distance provider.
+    """Immutable base registry plus its distances: the explicit km `matrix`
+    when one is given, else great-circle distances from the coordinates.
 
     Great-circle distances are evaluated with the arguments in lexicographic
     id order so that d(a, b) and d(b, a) are the same float, not merely close.
@@ -53,17 +51,15 @@ class MetricSpace:
     every read path is mutation-free and safe to share across workers.
     """
 
-    def __init__(self, bases: list[Base] | tuple[Base, ...], provider: str,
+    def __init__(self, bases: list[Base] | tuple[Base, ...],
                  matrix: list[list[float]] | None = None):
-        if provider not in (GREAT_CIRCLE, MATRIX):
-            raise ValueError(f"unknown provider {provider!r}")
         bases = tuple(bases)
         seen: set[str] = set()
         for b in bases:
             if b.id in seen:
                 raise ValueError(f"duplicate base id {b.id!r}")
             seen.add(b.id)
-        if provider == GREAT_CIRCLE:
+        if matrix is None:
             for b in bases:
                 if b.lat is None or b.lon is None:
                     raise ValueError(f"base {b.id!r} has no coordinates")
@@ -71,11 +67,7 @@ class MetricSpace:
                     raise ValueError(f"base {b.id!r}: lat {b.lat} outside [-90, 90]")
                 if not -180.0 <= b.lon <= 180.0:
                     raise ValueError(f"base {b.id!r}: lon {b.lon} outside [-180, 180]")
-            if matrix is not None:
-                raise ValueError("matrix given but provider is greatcircle")
         else:
-            if matrix is None:
-                raise ValueError("matrix provider requires a matrix")
             if len(matrix) != len(bases):
                 raise ValueError(f"matrix has {len(matrix)} rows for {len(bases)} bases")
             for i, row in enumerate(matrix):
@@ -85,18 +77,19 @@ class MetricSpace:
                     if not (math.isfinite(v) and v >= 0.0):
                         raise ValueError(f"matrix row {i} contains invalid distance {v!r}")
         self.bases = bases
-        self.provider = provider
         self._pos = {b.id: i for i, b in enumerate(bases)}
         self._dcache: list[list[float]] | None = matrix
         self.base_ids: tuple[str, ...] = tuple(b.id for b in bases)
 
     @classmethod
     def great_circle(cls, bases) -> "MetricSpace":
-        return cls(bases, GREAT_CIRCLE)
+        return cls(bases)
 
     @classmethod
     def from_matrix(cls, bases, matrix) -> "MetricSpace":
-        return cls(bases, MATRIX, matrix=matrix)
+        if matrix is None:
+            raise ValueError("from_matrix requires a matrix")
+        return cls(bases, matrix)
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -267,23 +260,33 @@ def load_bases_csv(path: str | Path) -> list[Base]:
                 bases.append(Base(bid, lat, lon))
             else:
                 bases.append(Base(bid))
+    if not bases:
+        raise ValueError(f"{path}: no bases")
     return bases
 
 
 def load_matrix_csv(path: str | Path) -> list[list[float]]:
-    """Read a square km grid, one row per line, no header."""
+    """Read a square km grid, one row per line, no header. Errors name the
+    file line; a bad distance is one that is not a finite number >= 0."""
     path = Path(path)
-    rows: list[list[float]] = []
+    rows: list[tuple[int, list[float]]] = []
     with path.open(newline="") as fh:
         for rownum, row in enumerate(csv.reader(fh), start=1):
             values = []
             for v in row:
                 try:
-                    values.append(float(v))
+                    x = float(v)
                 except ValueError:
-                    raise ValueError(f"{path} row {rownum}: bad distance {v!r}") from None
+                    x = math.nan
+                if not 0.0 <= x < math.inf:
+                    raise ValueError(f"{path} row {rownum}: bad distance {v!r}")
+                values.append(x)
             if values:
-                rows.append(values)
+                rows.append((rownum, values))
     if not rows:
         raise ValueError(f"{path}: empty matrix")
-    return rows
+    for rownum, values in rows:
+        if len(values) != len(rows):
+            raise ValueError(f"{path} row {rownum} has {len(values)} entries, "
+                             f"expected {len(rows)}")
+    return [values for _, values in rows]

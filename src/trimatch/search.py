@@ -345,21 +345,11 @@ def enumerate_pruned(index: LaneIndex, space: MetricSpace, query: Query) -> Resu
     return ResultSet(tris, ell, SearchStats(visits, perf_counter() - started))
 
 
-class _RankedCandidate:
-    """Top-k heap entry: heap[0] is the worst-ranked entry, i.e. lowest rate,
-    and among equal rates the largest tie key."""
+class _Descending(tuple):
+    """A (t2, t3) tie key that orders in reverse, so the largest ranks worst."""
 
-    __slots__ = ("ovr", "tie", "tri")
-
-    def __init__(self, tri: Triangle, tie):
-        self.ovr = tri.ovr
-        self.tie = tie
-        self.tri = tri
-
-    def __lt__(self, other: "_RankedCandidate") -> bool:
-        if self.ovr != other.ovr:
-            return self.ovr < other.ovr
-        return self.tie > other.tie
+    __slots__ = ()
+    __lt__ = tuple.__gt__
 
 
 def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query,
@@ -370,11 +360,13 @@ def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query,
     the heap is full the threshold jumps to the heap minimum after every
     insertion, shrinking all four scan ranges for the rest of the run.
 
-    With deterministic=False a candidate tying the provisional kth rate
-    replaces the incumbent minimum: the tie key is -arrival, so the oldest
-    entry ranks worst. With deterministic=True the tie key is (t2, t3), which
-    makes the surviving set equal the top-k prefix of the full result ordered
-    by (rate desc, t2, t3).
+    Heap entries are (ovr, tie, tri) tuples, so heap[0] is the worst: the
+    lowest rate, and among equal rates the smallest tie. Ties are unique, so
+    `tri` is never compared. With deterministic=False the tie is the arrival
+    number: the oldest entry ranks worst, and a candidate tying the kth rate
+    replaces it. With deterministic=True it is (t2, t3) reversed, so the
+    survivors are the top-k prefix of the full result ordered by
+    (rate desc, t2, t3).
     """
     if query.k is None:
         raise ValueError("top-k search needs query.k")
@@ -382,24 +374,24 @@ def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query,
     t1 = _client_lane(index, query.t1)
     k = query.k
     ell = query.ell
-    heap: list[_RankedCandidate] = []
+    heap: list[tuple[float, object, Triangle]] = []
     trace: list[float] = []
     arrivals = count()
 
     def keep_best(tri: Triangle) -> float:
         nonlocal ell
-        cand = _RankedCandidate(tri, (tri.t2, tri.t3) if deterministic else -next(arrivals))
+        entry = (tri.ovr, _Descending((tri.t2, tri.t3)) if deterministic else next(arrivals), tri)
         if len(heap) < k:
-            heapq.heappush(heap, cand)
-        elif heap[0] < cand:
-            heapq.heapreplace(heap, cand)
-        if len(heap) == k and heap[0].ovr > ell:
-            ell = heap[0].ovr
+            heapq.heappush(heap, entry)
+        elif heap[0] < entry:
+            heapq.heapreplace(heap, entry)
+        if len(heap) == k and heap[0][0] > ell:
+            ell = heap[0][0]
             trace.append(ell)
         return ell
 
     visits = _bounded_search(index, space, t1, ell, query.u, keep_best)
-    tris = sorted((entry.tri for entry in heap), key=lambda t: (-t.ovr, t.t2, t.t3))
+    tris = sorted((tri for _, _, tri in heap), key=lambda t: (-t.ovr, t.t2, t.t3))
     return ResultSet(tris, ell, SearchStats(visits, perf_counter() - started, tuple(trace)))
 
 

@@ -142,6 +142,32 @@ def test_bad_matrix_entry_exits_2_with_its_row(runner, tmp_path):
     assert "matrix.csv row 3: bad distance 'zz'" in res.output
 
 
+def test_ragged_matrix_error_names_its_file_line(runner, tmp_path):
+    (tmp_path / "bases.csv").write_text("base_id\na\nb\n")
+    (tmp_path / "matrix.csv").write_text("0,1\n1,0,2\n")
+    res = runner.invoke(main, ["validate", "--bases", str(tmp_path / "bases.csv"),
+                               "--matrix", str(tmp_path / "matrix.csv"),
+                               "--provider", "matrix"])
+    assert res.exit_code == 2
+    assert "matrix.csv row 2 has 3 entries, expected 2" in res.output
+
+
+@pytest.mark.parametrize("command", ["validate", "validate-lanes", "match", "bench"])
+def test_header_only_bases_exit_2(runner, tmp_path, command):
+    bases = tmp_path / "bases.csv"
+    bases.write_text("base_id,lat,lon\n")
+    (tmp_path / "lanes.csv").write_text("lane_id,origin_base_id,dest_base_id\n")
+    files = ["--bases", str(bases), "--lanes", str(tmp_path / "lanes.csv")]
+    args = {"validate": ["validate", "--bases", str(bases)],
+            "validate-lanes": ["validate", *files],
+            "match": ["match", "l0001", *files, "--l", "0.8"],
+            "bench": ["bench", *files]}[command]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert "bases.csv: no bases" in res.output
+    assert "validation passed" not in res.output
+
+
 def test_validate_reports_lane_row_numbers(runner, tmp_path):
     runner.invoke(main, ["gen", "--n-bases", "5", "--n-lanes", "6", "--out", str(tmp_path)])
     lanes = tmp_path / "lanes.csv"
@@ -253,6 +279,20 @@ def test_match_csv_output_parses(runner, tmp_path):
     assert {r["t2"] for r in rows} == {"BC"}
 
 
+@pytest.mark.parametrize("flags", [["--shapley"], ["--k", "3"], ["--k", "3", "--shapley"]])
+def test_match_csv_header_does_not_depend_on_the_result(runner, tmp_path, flags):
+    write_tri4_files(tmp_path)
+    headers = []
+    for cap in ("40", "1"):  # two triangles, then none
+        res = runner.invoke(main, ["match", "AB", *tri4_args(tmp_path), "--l", "0.9",
+                                   "--u-km", cap, "--format", "csv", *flags])
+        assert res.exit_code == 0, res.output
+        headers.append(res.stdout.splitlines()[0])
+    assert headers[0] == headers[1]
+    assert ("shapley3" in headers[1]) == ("--shapley" in flags)
+    assert ("ell_star" in headers[1]) == ("--k" in flags)
+
+
 def test_match_records_roundtrip_to_printed_precision(runner, tmp_path):
     runner.invoke(main, ["gen", "--n-bases", "25", "--n-lanes", "80",
                          "--seed", "5", "--out", str(tmp_path)])
@@ -346,3 +386,38 @@ def test_bench_too_many_queries_exits_2(runner, tmp_path):
     runner.invoke(main, ["gen", "--n-bases", "5", "--n-lanes", "8", "--out", str(tmp_path)])
     res = runner.invoke(main, bench_args(tmp_path, "--queries", "100"))
     assert res.exit_code == 2
+
+
+def test_bench_conflicting_u_modes_exits_2(runner, tmp_path):
+    runner.invoke(main, ["gen", "--n-bases", "10", "--n-lanes", "20", "--out", str(tmp_path)])
+    res = runner.invoke(main, bench_args(tmp_path, "--queries", "2",
+                                         "--u-km", "100", "--u-factor", "2"))
+    assert res.exit_code == 2
+    assert "--u-km and --u-factor are mutually exclusive" in res.output
+
+
+def test_bench_csv_rows_carry_the_jsonl_fields(runner, tmp_path):
+    runner.invoke(main, ["gen", "--n-bases", "15", "--n-lanes", "45",
+                         "--seed", "9", "--out", str(tmp_path)])
+    outs = {}
+    for fmt in ("jsonl", "csv"):
+        outs[fmt] = tmp_path / f"rows.{fmt}"
+        res = runner.invoke(main, bench_args(
+            tmp_path, "--queries", "4", "--algo", "pruned", "--algo", "topk", "--k", "3",
+            "--l", "0.75", "--format", fmt, "--out", str(outs[fmt])))
+        assert res.exit_code == 0, res.output
+    records = [json.loads(line) for line in outs["jsonl"].read_text().splitlines()]
+    with outs["csv"].open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == ["lane", "algo", "ell", "u", "k", "wall_seconds",
+                                     "result_size", "candidates", "level_visits", "ell_star"]
+        rows = list(reader)
+    assert len(rows) == len(records) == 8
+    for row, rec in zip(rows, records):
+        assert (row["lane"], row["algo"]) == (rec["lane"], rec["algo"])
+        assert float(row["ell"]) == rec["ell"] and float(row["u"]) == rec["u"]
+        assert row["k"] == ("" if rec["k"] is None else str(rec["k"]))
+        assert int(row["result_size"]) == rec["result_size"]
+        assert int(row["candidates"]) == rec["candidates"]
+        assert row["level_visits"] == "/".join(map(str, rec["level_visits"]))
+        assert float(row["ell_star"]) == rec["ell_star"]

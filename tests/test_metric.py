@@ -159,6 +159,25 @@ def test_matrix_shape_and_sign_checks():
         MetricSpace.from_matrix([Base("0"), Base("1")], [[0.0, -1.0], [1.0, 0.0]])
 
 
+def test_from_matrix_rejects_a_missing_matrix():
+    with pytest.raises(ValueError, match="requires a matrix"):
+        MetricSpace.from_matrix([Base("0"), Base("1")], None)
+
+
+def test_space_is_great_circle_exactly_when_no_matrix_is_given():
+    bases = [Base("p", 0.0, 0.0), Base("q", 0.0, 1.0)]
+    assert MetricSpace(bases).distance("p", "q") == _haversine_km(0.0, 0.0, 0.0, 1.0)
+    assert MetricSpace(bases, [[0.0, 7.0], [7.0, 0.0]]).distance("p", "q") == 7.0
+    assert not hasattr(MetricSpace(bases), "provider")
+
+
+def test_bases_csv_without_rows_is_rejected(tmp_path):
+    path = tmp_path / "bases.csv"
+    path.write_text("base_id,lat,lon\n")
+    with pytest.raises(ValueError, match=r"bases.csv: no bases"):
+        load_bases_csv(path)
+
+
 def test_bases_csv_roundtrip(tmp_path):
     p = tmp_path / "bases.csv"
     p.write_text("base_id,lat,lon\nn1,35.0,139.5\nn2,34.2,135.1\n")
@@ -180,4 +199,18 @@ def test_matrix_csv_names_the_bad_row(tmp_path):
     path = tmp_path / "matrix.csv"
     path.write_text("0,3\n3,zz\n")
     with pytest.raises(ValueError, match=r"matrix.csv row 2: bad distance 'zz'"):
+        load_matrix_csv(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("0,1\n1,0,2\n", r"matrix.csv row 2 has 3 entries, expected 2"),
+    ("0,1\n\n1,0,2\n", r"matrix.csv row 3 has 3 entries, expected 2"),
+    ("0,3\n-3,0\n", r"matrix.csv row 2: bad distance '-3'"),
+    ("0,nan\n3,0\n", r"matrix.csv row 1: bad distance 'nan'"),
+    ("0,3\n\ninf,0\n", r"matrix.csv row 3: bad distance 'inf'"),
+])
+def test_matrix_csv_names_the_file_line_of_shape_and_value_errors(tmp_path, text, message):
+    path = tmp_path / "matrix.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
         load_matrix_csv(path)

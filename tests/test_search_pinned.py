@@ -64,6 +64,22 @@ def test_topk_pinned_on_tied_line(tied_line, deterministic, third):
         8 / 9, (2, 2, 9, 13), (5 / 6, 8 / 9))
 
 
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_topk_above_the_result_size_returns_the_ranked_full_set(tied_line, deterministic):
+    """With k past the 7 results the heap never fills: the threshold never
+    rises, so topk scans what pruned scans and returns all of it ranked by
+    (rate desc, t2, t3)."""
+    space, index = tied_line
+    rs = enumerate_topk(index, space, Query("L01", 0.75, 36.0, k=10),
+                        deterministic=deterministic)
+    assert summary(rs) == (
+        [("L05", "L06", 17 / 18, 18.0), ("L07", "L06", 17 / 18, 18.0),
+         ("L05", "L04", 8 / 9, 18.0), ("L07", "L04", 8 / 9, 18.0),
+         ("L05", "L08", 5 / 6, 18.0), ("L07", "L08", 5 / 6, 18.0),
+         ("L08", "L04", 7 / 9, 18.0)],
+        0.75, (5, 11, 30, 31), ())
+
+
 def test_pruned_pinned_on_great_circle(great_circle):
     space, index = great_circle
     u = 4.0 * index.by_id["l0092"].dist
