@@ -47,7 +47,11 @@ def _read_space(bases_path: str, matrix_path: str | None, provider: str) -> Metr
         if provider == MATRIX:
             if matrix_path is None:
                 raise InputError("--provider matrix requires --matrix")
-            return MetricSpace.from_matrix(bases, load_matrix_csv(matrix_path))
+            matrix = load_matrix_csv(matrix_path)
+            if len(matrix) != len(bases):
+                raise InputError(f"{matrix_path} has {len(matrix)} rows for the "
+                                 f"{len(bases)} bases in {bases_path}")
+            return MetricSpace.from_matrix(bases, matrix)
         return MetricSpace.great_circle(bases)
     except ValueError as exc:
         raise InputError(str(exc)) from exc

@@ -3,14 +3,19 @@
 For every base b the index keeps the list of lane-start bases ordered by
 distance from b, and for every start base s the lanes leaving s ordered by
 lane length. Both lists answer range queries with a binary search, so the
-enumeration backends only ever touch candidates inside their bounds.
+enumeration backends only ever touch candidates inside their bounds. A
+base's list is sorted the first time it is read, or up front when the space
+already holds its distance matrix.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
+import threading
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -40,9 +45,72 @@ def make_lane(lane_id: str, start: str, end: str, space: MetricSpace,
     return Lane(lane_id, start, end, space.distance(start, end), owner)
 
 
+_GC_SWITCH = threading.Lock()
+
+
+@contextmanager
+def _young_gc_off():
+    """Make many new acyclic tuples without a cyclic collection traversing them.
+
+    The GC is paused while they are made, then freeze + unfreeze moves every
+    tracked object, these included, to the oldest generation in O(1), so no
+    young collection traverses them (skipped if the caller has frozen objects:
+    unfreeze would thaw those too). The lock keeps concurrent queries from
+    reading each other's pause as the GC's state and leaving it off.
+    """
+    with _GC_SWITCH:
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+
+class _NeighborRows(Mapping):
+    """Every base -> [(start base, distance)] sorted by (distance, id).
+
+    A row is sorted by `sort_row` the first time it is read, then kept.
+    Membership, len and iteration (every base id, in space order) sort nothing.
+    """
+
+    def __init__(self, space: MetricSpace, sort_row, rows: dict[str, list[tuple[str, float]]]):
+        self._space = space
+        self._sort_row = sort_row
+        self._rows = rows
+
+    def __getitem__(self, b: str) -> list[tuple[str, float]]:
+        row = self._rows.get(b)
+        if row is None:
+            if b not in self._space:
+                raise KeyError(b)
+            # only reached without a matrix, where distances to b are also from b
+            with _young_gc_off():
+                row = self._sort_row(self._space.distances_to(b))
+            self._rows[b] = row
+        return row
+
+    def __contains__(self, b: object) -> bool:
+        return b in self._space
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._space.base_ids)
+
+    def __len__(self) -> int:
+        return len(self._space)
+
+
 @dataclass
 class LaneIndex:
-    """Read-only after build_index; safe to share across concurrent queries.
+    """Built by build_index; safe to share across concurrent queries.
+
+    Only the neighbor rows fill on first read, each stored whole with one
+    dict assignment once sorted, so concurrent readers at worst sort a row
+    twice.
 
     lanes          all lanes, sorted by id
     by_id          lane id -> lane
@@ -57,7 +125,7 @@ class LaneIndex:
     by_start: dict[str, list[Lane]]
     start_dists: dict[str, list[float]]
     starts: frozenset[str]
-    neighbors: dict[str, list[tuple[str, float]]]
+    neighbors: Mapping[str, list[tuple[str, float]]]
 
 
 def build_index(lanes, space: MetricSpace) -> LaneIndex:
@@ -82,27 +150,17 @@ def build_index(lanes, space: MetricSpace) -> LaneIndex:
     start_dists = {s: [l.dist for l in group] for s, group in by_start.items()}
     starts = frozenset(by_start)
 
-    mat = space.distance_matrix()
     start_ids = sorted(starts)
     start_pos = [space.index_of(s) for s in start_ids]
-    neighbors: dict[str, list[tuple[str, float]]] = {}
-    # |B| x |starts| new acyclic tuples. The cyclic GC is paused while they are
-    # made, then freeze + unfreeze moves every tracked object, these included,
-    # to the oldest generation, so no young collection traverses them (skipped
-    # if the caller has frozen objects: unfreeze would thaw those too).
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for b, row in zip(space.base_ids, mat):
-            # stable sort over starts in id order: ties stay in id order
-            neighbors[b] = sorted(zip(start_ids, map(row.__getitem__, start_pos)),
-                                  key=itemgetter(1))
-        if not gc.get_freeze_count():
-            gc.freeze()
-            gc.unfreeze()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+
+    def sort_row(row: list[float]) -> list[tuple[str, float]]:
+        # stable sort over starts in id order: ties stay in id order
+        return sorted(zip(start_ids, map(row.__getitem__, start_pos)), key=itemgetter(1))
+
+    rows: dict[str, list[tuple[str, float]]] = {}
+    if space._dcache is not None:  # the distances are paid for: sort every row now
+        with _young_gc_off():
+            rows = {b: sort_row(row) for b, row in zip(space.base_ids, space._dcache)}
 
     return LaneIndex(
         lanes=ordered,
@@ -110,7 +168,7 @@ def build_index(lanes, space: MetricSpace) -> LaneIndex:
         by_start=by_start,
         start_dists=start_dists,
         starts=starts,
-        neighbors=neighbors,
+        neighbors=_NeighborRows(space, sort_row, rows),
     )
 
 

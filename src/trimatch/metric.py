@@ -12,9 +12,11 @@ import csv
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 EARTH_RADIUS_KM = 6371.0088
+_DEG = math.pi / 180.0  # x * _DEG is exactly math.radians(x)
 
 
 class UnknownBaseError(LookupError):
@@ -47,8 +49,11 @@ class MetricSpace:
     Great-circle distances are evaluated with the arguments in lexicographic
     id order so that d(a, b) and d(b, a) are the same float, not merely close.
 
-    The all-pairs matrix is materialized once, at index-build time; after that
-    every read path is mutation-free and safe to share across workers.
+    Great-circle distances are cached as they are first read: a row of
+    `distances_to` per base, or the whole matrix once `distance_matrix()` is
+    called. Each is stored whole with one assignment after it is built, so
+    the space stays safe to share across concurrent readers; at worst two of
+    them build the same row twice.
     """
 
     def __init__(self, bases: list[Base] | tuple[Base, ...],
@@ -79,6 +84,7 @@ class MetricSpace:
         self.bases = bases
         self._pos = {b.id: i for i, b in enumerate(bases)}
         self._dcache: list[list[float]] | None = matrix
+        self._rows: dict[int, list[float]] = {}  # great-circle rows by position
         self.base_ids: tuple[str, ...] = tuple(b.id for b in bases)
 
     @classmethod
@@ -127,20 +133,54 @@ class MetricSpace:
             self._dcache = _great_circle_matrix(self.bases)
         return self._dcache
 
+    @cached_property
+    def _points(self) -> list[tuple[float, float, float]]:
+        """(lat, lon, cos(phi)) per position, made when the first row is built."""
+        return [(b.lat, b.lon, math.cos(b.lat * _DEG)) for b in self.bases]
+
+    def distances_to(self, base_id: str) -> list[float]:
+        """d(b, base_id) for every base b, in position order.
+
+        With a matrix this is its column, copied per call. Without one it is
+        the base's great-circle row, built on first read and kept: O(|B|)
+        work for one base instead of O(|B|^2) for all. It equals the column
+        bit for bit, since each pair is symmetric.
+        """
+        j = self.index_of(base_id)
+        if self._dcache is not None:
+            return [row[j] for row in self._dcache]
+        row = self._rows.get(j)
+        if row is None:
+            row = self._rows[j] = _great_circle_row(self._points, j)
+        return row
+
+
+def _great_circle_row(points: list[tuple[float, float, float]], j: int) -> list[float]:
+    """`_haversine_km` from point j to every (lat, lon, cos(phi)) point, bit
+    for bit, whichever id is lower: each term is even in the sign of its
+    difference (sin(-x)**2 == sin(x)**2) and cos(phi1) * cos(phi2) commutes."""
+    lat1, lon1, cos1 = points[j]
+    deg = _DEG
+    sin, asin, sqrt = math.sin, math.asin, math.sqrt
+    hav = [sin((lat2 - lat1) * deg / 2.0) ** 2 + cos1 * cos2 * sin((lon2 - lon1) * deg / 2.0) ** 2
+           for lat2, lon2, cos2 in points]
+    diameter = 2.0 * EARTH_RADIUS_KM
+    return [diameter * asin(sqrt(a if a < 1.0 else 1.0)) for a in hav]
+
 
 def _great_circle_matrix(bases: tuple[Base, ...]) -> list[list[float]]:
     """`_haversine_km` over every pair, bit for bit, at one evaluation per pair.
 
     Rows are built in id order: row r computes its pairs with every later id
     and takes its earlier entries from the rows above it. cos(phi) is hoisted
-    per base; `x * deg` is exactly `math.radians(x)`, and clamping `a` before
-    the square root equals clamping after it, since sqrt is correctly rounded.
+    per base, and clamping `a` before the square root equals clamping after
+    it, since sqrt is correctly rounded.
     """
     n = len(bases)
     order = sorted(range(n), key=lambda p: bases[p].id)
     lat = [bases[p].lat for p in order]
     lon = [bases[p].lon for p in order]
-    deg = math.pi / 180.0
+    deg = _DEG
     cos_phi = [math.cos(x * deg) for x in lat]
     diameter = 2.0 * EARTH_RADIUS_KM
     sin, asin, sqrt = math.sin, math.asin, math.sqrt

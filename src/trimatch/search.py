@@ -272,9 +272,7 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
     values fixed inside its loop.
     """
     d1 = t1.dist
-    mat = space.distance_matrix()
-    opos = space.index_of(t1.start)
-    to_origin = {b: mat[i][opos] for i, b in enumerate(space.base_ids)}
+    to_origin = dict(zip(space.base_ids, space.distances_to(t1.start)))
     neighbors = index.neighbors
     by_start = index.by_start
     start_dists = index.start_dists

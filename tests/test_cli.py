@@ -152,6 +152,21 @@ def test_ragged_matrix_error_names_its_file_line(runner, tmp_path):
     assert "matrix.csv row 2 has 3 entries, expected 2" in res.output
 
 
+@pytest.mark.parametrize("command", ["validate", "match"])
+def test_matrix_row_count_error_names_both_files(runner, tmp_path, command):
+    (tmp_path / "bases.csv").write_text("base_id\na\nb\n")
+    (tmp_path / "matrix.csv").write_text("0,1,1\n1,0,1\n1,1,0\n")
+    (tmp_path / "lanes.csv").write_text("lane_id,origin_base_id,dest_base_id\nab,a,b\n")
+    args = ["--bases", str(tmp_path / "bases.csv"), "--matrix", str(tmp_path / "matrix.csv"),
+            "--provider", "matrix"]
+    if command == "match":
+        args = ["ab", *args, "--lanes", str(tmp_path / "lanes.csv"), "--l", "0.5"]
+    res = runner.invoke(main, [command, *args])
+    assert res.exit_code == 2
+    assert "matrix.csv has 3 rows for the 2 bases in" in res.output
+    assert "bases.csv" in res.output
+
+
 @pytest.mark.parametrize("command", ["validate", "validate-lanes", "match", "bench"])
 def test_header_only_bases_exit_2(runner, tmp_path, command):
     bases = tmp_path / "bases.csv"

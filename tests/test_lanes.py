@@ -1,10 +1,16 @@
+import gc
 import math
+import sys
+import threading
 from collections import Counter
 
 import pytest
 
-from trimatch import (Base, Lane, MetricSpace, UnknownBaseError, build_index,
-                      lanes_in_range, load_lanes_csv, make_lane, neighbors_within)
+from trimatch import (Base, Lane, MetricSpace, Query, UnknownBaseError, build_index,
+                      enumerate_topk, lanes_in_range, load_lanes_csv, make_lane,
+                      neighbors_within)
+from trimatch.generate import generate_instance
+from trimatch.lanes import _young_gc_off
 
 from conftest import gc_instance, line_space
 
@@ -141,6 +147,52 @@ def test_neighbors_within_unknown_base():
         neighbors_within(index, "ghost", 10.0)
 
 
+def rows_built(space, index):
+    """(great-circle distance rows, sorted neighbor rows) built so far."""
+    return len(space._rows), len(index.neighbors._rows)
+
+
+def test_one_cold_query_builds_fewer_rows_than_bases():
+    space, index = gc_instance(200, 700, seed=5)
+    assert rows_built(space, index) == (0, 0)
+    lane = index.lanes[0]
+    enumerate_topk(index, space, Query(lane.id, 0.75, 4.0 * lane.dist, k=20))
+    distance_rows, neighbor_rows = rows_built(space, index)
+    assert 0 < neighbor_rows < len(space)
+    assert 0 < distance_rows < len(space)
+
+
+def test_membership_len_iteration_and_lane_ranges_build_no_rows():
+    space, index = gc_instance(30, 90, seed=3)
+    assert all(b in index.neighbors for b in space.base_ids)
+    assert "ghost" not in index.neighbors
+    assert len(index.neighbors) == len(space)
+    assert list(index.neighbors) == list(space.base_ids)
+    for s in space.base_ids:
+        lanes_in_range(index, s, 0.0, math.inf)
+    assert rows_built(space, index) == (0, 0)
+
+
+def test_unknown_base_row_raises_key_error():
+    space, index = gc_instance(10, 20, seed=2)
+    with pytest.raises(KeyError):
+        index.neighbors["ghost"]
+    assert index.neighbors.get("ghost") is None
+    with pytest.raises(UnknownBaseError, match="ghost"):
+        neighbors_within(index, "ghost", 10.0)
+
+
+def test_index_built_after_the_matrix_holds_every_row():
+    bases, rows = generate_instance(40, 120, seed=6)
+    lazy_space, eager_space = MetricSpace.great_circle(bases), MetricSpace.great_circle(bases)
+    eager_space.distance_matrix()
+    lazy = build_index([make_lane(lid, s, e, lazy_space) for lid, s, e in rows], lazy_space)
+    eager = build_index([make_lane(lid, s, e, eager_space) for lid, s, e in rows], eager_space)
+    assert rows_built(eager_space, eager) == (0, len(bases))
+    assert dict(lazy.neighbors) == dict(eager.neighbors)
+    assert rows_built(lazy_space, lazy) == (len(bases), len(bases))
+
+
 def test_lanes_in_range_binary_search_positions():
     space = line_space({"s": 0.0, "a": 2.0, "b": 4.0, "c": 6.0, "d": 9.0})
     lanes = [
@@ -192,3 +244,57 @@ def test_lanes_csv_reports_row_numbers(tmp_path):
     msg = str(err.value)
     assert "row 3" in msg and "'Z'" in msg
     assert "row 4" in msg
+
+
+def switching_often(fn):
+    """Run fn with the interpreter switching threads every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return fn()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def run_threads(target, args_list, timeout=60.0):
+    threads = [threading.Thread(target=target, args=args) for args in args_list]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=timeout)
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_concurrent_row_builds_leave_the_gc_on():
+    def enter_often():
+        for _ in range(2000):
+            with _young_gc_off():
+                pass
+
+    try:
+        for _ in range(10):
+            switching_often(lambda: run_threads(enter_often, [()] * 8))
+            assert gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_concurrent_queries_share_a_lazy_index():
+    space, index = gc_instance(150, 500, seed=8)
+    eager_space, eager = gc_instance(150, 500, seed=8)
+    eager_space.distance_matrix()
+    eager = build_index(eager.lanes, eager_space)
+    queries = [Query(l.id, 0.75, 4.0 * l.dist, k=10) for l in index.lanes[:40]]
+    want = [enumerate_topk(eager, eager_space, q, deterministic=True).triangles
+            for q in queries]
+    got: dict[int, list] = {}
+
+    def worker(offset: int) -> None:
+        for n in range(offset, offset + len(queries)):
+            n %= len(queries)
+            got[n] = enumerate_topk(index, space, queries[n], deterministic=True).triangles
+
+    switching_often(lambda: run_threads(worker, [(5 * t,) for t in range(8)]))
+    assert [got[n] for n in range(len(queries))] == want
+    assert dict(index.neighbors) == dict(eager.neighbors)
+    assert gc.isenabled()

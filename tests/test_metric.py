@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from trimatch import (Base, MetricSpace, UnknownBaseError, load_bases_csv,
                       load_matrix_csv, validate_metric)
 from trimatch.generate import generate_instance
-from trimatch.metric import EARTH_RADIUS_KM, _haversine_km
+from trimatch.metric import EARTH_RADIUS_KM, _great_circle_matrix, _haversine_km
 
 from conftest import gc_instance
 
@@ -76,6 +76,31 @@ def test_distance_matrix_is_bit_identical_to_pairwise_haversine():
             want = _haversine_km(lo.lat, lo.lon, hi.lat, hi.lon)
             assert matrix[i][j].hex() == want.hex(), (a.id, b.id)
             assert matrix[i][j] is matrix[j][i]
+
+
+def test_lazy_rows_are_bit_identical_to_the_matrix_and_pairwise_haversine():
+    import random
+    bases, _ = generate_instance(80, 10, seed=23)  # the instance of the test above
+    bases += [Base("anti1", 0.0, 0.0), Base("anti0", 0.0, 180.0),
+              Base("twin", bases[0].lat, bases[0].lon)]
+    random.Random(4).shuffle(bases)
+    matrix = _great_circle_matrix(tuple(bases))
+    space = MetricSpace.great_circle(bases)
+    for j, b in enumerate(bases):
+        column = space.distances_to(b.id)
+        assert [x.hex() for x in column] == [row[j].hex() for row in matrix], b.id
+        for a, got in zip(bases, column):
+            lo, hi = (a, b) if a.id < b.id else (b, a)
+            assert got.hex() == _haversine_km(lo.lat, lo.lon, hi.lat, hi.lon).hex()
+    assert len(space._rows) == len(bases) and space._dcache is None
+
+
+def test_distances_to_is_the_matrix_column():
+    space = MetricSpace.from_matrix([Base("a"), Base("b")], [[0.0, 1.0], [5.0, 0.0]])
+    assert space.distances_to("a") == [0.0, 5.0]
+    assert space.distances_to("b") == [1.0, 0.0]
+    with pytest.raises(UnknownBaseError):
+        space.distances_to("ghost")
 
 
 def test_from_matrix_serves_the_callers_matrix():

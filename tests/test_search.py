@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from trimatch import (Query, UnknownLaneError, bound_d2, bound_d3, bound_e1,
-                      bound_e2, build_index, enumerate_bruteforce,
+from trimatch import (Base, MetricSpace, Query, UnknownLaneError, bound_d2, bound_d3,
+                      bound_e1, bound_e2, build_index, enumerate_bruteforce,
                       enumerate_pruned, enumerate_quad, enumerate_topk,
-                      evaluate, is_feasible, make_lane)
+                      evaluate, is_feasible, make_lane, validate_metric)
 from trimatch.search import BOUND_SLACK
 
 from conftest import gc_instance, line_space, pick_lanes, tri4
@@ -332,3 +332,36 @@ def test_stats_candidates_totals_level_visits():
     for fn in (enumerate_bruteforce, enumerate_quad, enumerate_pruned):
         stats = fn(index, space, q).stats
         assert stats.candidates == sum(stats.level_visits)
+
+
+def quasi_metric_instance(seed: int, n_bases: int = 12, n_lanes: int = 30):
+    """Shortest-path closure of a random complete digraph with integer weights:
+    the triangle inequality holds, symmetry does not (`--force` admits it)."""
+    rng = random.Random(seed)
+    ids = [f"b{i:02d}" for i in range(n_bases)]
+    d = [[0.0 if i == j else float(rng.randint(1, 30)) for j in range(n_bases)]
+         for i in range(n_bases)]
+    for m in range(n_bases):  # Floyd-Warshall
+        for i in range(n_bases):
+            for j in range(n_bases):
+                d[i][j] = min(d[i][j], d[i][m] + d[m][j])
+    space = MetricSpace.from_matrix([Base(b) for b in ids], d)
+    pairs = rng.sample([(a, b) for a in ids for b in ids if a != b], n_lanes)
+    lanes = [make_lane(f"l{n:02d}", a, b, space) for n, (a, b) in enumerate(pairs)]
+    return space, build_index(lanes, space)
+
+
+def test_bounded_search_on_asymmetric_matrices_matches_brute_force():
+    # e3 = d(t3.end, t1.start): the search must read a column of the matrix
+    for seed in range(40):
+        space, index = quasi_metric_instance(seed)
+        kinds = {v.kind for v in validate_metric(space).violations}
+        assert kinds == {"symmetry"}, seed
+        for n, lane in enumerate(index.lanes):
+            q = Query(lane.id, (0.5, 0.6, 0.75)[n % 3], 4.0 * lane.dist)
+            brute = by_rate(enumerate_bruteforce(index, space, q).triangles)
+            pruned = enumerate_pruned(index, space, q).triangles
+            assert by_rate(pruned) == brute, (seed, lane.id)
+            top = enumerate_topk(index, space, Query(q.t1, q.ell, q.u, k=5),
+                                 deterministic=True)
+            assert top.triangles == brute[:5], (seed, lane.id)
