@@ -5,18 +5,21 @@ distance from b, and for every start base s the lanes leaving s ordered by
 lane length. Both lists answer range queries with a binary search, so the
 enumeration backends only ever touch candidates inside their bounds. A
 base's list is sorted the first time it is read, or up front when the space
-already holds its distance matrix.
+already holds its distance matrix; the searches read it only as far as their
+bound, and on a great-circle space build only that part.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
+import math
 import threading
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 
@@ -74,24 +77,51 @@ def _young_gc_off():
 class _NeighborRows(Mapping):
     """Every base -> [(start base, distance)] sorted by (distance, id).
 
-    A row is sorted by `sort_row` the first time it is read, then kept.
-    Membership, len and iteration (every base id, in space order) sort nothing.
+    A row is sorted the first time it is read, then kept. `within(b, radius)`
+    may instead keep only the starts within `radius` of b: on a great-circle
+    space with no matrix it measures just the starts inside the latitude band
+    and longitude span that radius allows, so a search pays for the
+    neighborhood its bounds admit rather than for all |starts|. Each entry is
+    (reach, row), with every start within `reach` of b in `row` (inf: the
+    whole row). Membership, len and iteration (every base id, in space order)
+    sort nothing.
     """
 
-    def __init__(self, space: MetricSpace, sort_row, rows: dict[str, list[tuple[str, float]]]):
+    def __init__(self, space: MetricSpace, start_ids: list[str], start_pos: list[int],
+                 rows: dict[str, tuple[float, list[tuple[str, float]]]]):
         self._space = space
-        self._sort_row = sort_row
+        self._start_ids = start_ids
+        self._start_pos = start_pos
         self._rows = rows
 
+    @cached_property
+    def _by_lat(self):
+        """The starts by latitude, for `MetricSpace._within`."""
+        return self._space._lat_order(self._start_pos)
+
     def __getitem__(self, b: str) -> list[tuple[str, float]]:
-        row = self._rows.get(b)
-        if row is None:
-            if b not in self._space:
-                raise KeyError(b)
-            # only reached without a matrix, where distances to b are also from b
-            with _young_gc_off():
-                row = self._sort_row(self._space.distances_to(b))
-            self._rows[b] = row
+        entry = self._rows.get(b)
+        if entry is not None and entry[0] == math.inf:
+            return entry[1]
+        if b not in self._space:
+            raise KeyError(b)
+        # only reached without an index-time matrix, where distances to b are also from b
+        with _young_gc_off():
+            row = _sort_row(self._start_ids, self._space.distances_to(b), self._start_pos)
+        self._rows[b] = (math.inf, row)
+        return row
+
+    def within(self, b: str, radius: float) -> list[tuple[str, float]]:
+        """b's row up to at least `radius`, nearest first: every start within
+        `radius` of b is in it, and any longer entries come after them."""
+        entry = self._rows.get(b)
+        if entry is not None and entry[0] >= radius:
+            return entry[1]
+        if self._space._dcache is not None:  # the distances are paid for
+            return self[b]
+        start_ids = self._start_ids
+        row = [(start_ids[i], d) for d, i in self._space._within(b, radius, self._by_lat)]
+        self._rows[b] = (radius, row)
         return row
 
     def __contains__(self, b: object) -> bool:
@@ -110,14 +140,16 @@ class LaneIndex:
 
     Only the neighbor rows fill on first read, each stored whole with one
     dict assignment once sorted, so concurrent readers at worst sort a row
-    twice.
+    twice. A row read through `neighbors.within(b, radius)` may hold only the
+    starts within that radius until a read asks for more.
 
     lanes          all lanes, sorted by id
     by_id          lane id -> lane
     by_start       start base -> lanes leaving it, sorted by (dist, id)
     start_dists    parallel sort keys for by_start, for bisecting
     starts         bases with at least one outgoing lane
-    neighbors      every base -> [(start base, distance)] sorted by (distance, id)
+    neighbors      every base -> [(start base, distance)] sorted by (distance, id);
+                   `within(b, radius)` gives the row up to at least `radius`
     """
 
     lanes: tuple[Lane, ...]
@@ -125,7 +157,7 @@ class LaneIndex:
     by_start: dict[str, list[Lane]]
     start_dists: dict[str, list[float]]
     starts: frozenset[str]
-    neighbors: Mapping[str, list[tuple[str, float]]]
+    neighbors: _NeighborRows
 
 
 def build_index(lanes, space: MetricSpace) -> LaneIndex:
@@ -152,15 +184,11 @@ def build_index(lanes, space: MetricSpace) -> LaneIndex:
 
     start_ids = sorted(starts)
     start_pos = [space.index_of(s) for s in start_ids]
-
-    def sort_row(row: list[float]) -> list[tuple[str, float]]:
-        # stable sort over starts in id order: ties stay in id order
-        return sorted(zip(start_ids, map(row.__getitem__, start_pos)), key=itemgetter(1))
-
-    rows: dict[str, list[tuple[str, float]]] = {}
+    rows: dict[str, tuple[float, list[tuple[str, float]]]] = {}
     if space._dcache is not None:  # the distances are paid for: sort every row now
         with _young_gc_off():
-            rows = {b: sort_row(row) for b, row in zip(space.base_ids, space._dcache)}
+            rows = {b: (math.inf, _sort_row(start_ids, row, start_pos))
+                    for b, row in zip(space.base_ids, space._dcache)}
 
     return LaneIndex(
         lanes=ordered,
@@ -168,16 +196,21 @@ def build_index(lanes, space: MetricSpace) -> LaneIndex:
         by_start=by_start,
         start_dists=start_dists,
         starts=starts,
-        neighbors=_NeighborRows(space, sort_row, rows),
+        neighbors=_NeighborRows(space, start_ids, start_pos, rows),
     )
+
+
+def _sort_row(start_ids: list[str], row: list[float],
+              start_pos: list[int]) -> list[tuple[str, float]]:
+    # stable sort over starts in id order: ties stay in id order
+    return sorted(zip(start_ids, map(row.__getitem__, start_pos)), key=itemgetter(1))
 
 
 def neighbors_within(index: LaneIndex, b: str, radius: float) -> list[tuple[str, float]]:
     """Start bases within `radius` km of b, nearest first."""
-    try:
-        pairs = index.neighbors[b]
-    except KeyError:
-        raise UnknownBaseError(f"unknown base id {b!r}") from None
+    if b not in index.neighbors:
+        raise UnknownBaseError(f"unknown base id {b!r}")
+    pairs = index.neighbors.within(b, radius)
     hi = bisect_right(pairs, radius, key=lambda p: p[1])
     return pairs[:hi]
 

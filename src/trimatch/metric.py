@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -135,7 +136,7 @@ class MetricSpace:
 
     @cached_property
     def _points(self) -> list[tuple[float, float, float]]:
-        """(lat, lon, cos(phi)) per position, made when the first row is built."""
+        """(lat, lon, cos(phi)) per position, made when the first distances are."""
         return [(b.lat, b.lon, math.cos(b.lat * _DEG)) for b in self.bases]
 
     def distances_to(self, base_id: str) -> list[float]:
@@ -151,15 +152,70 @@ class MetricSpace:
             return [row[j] for row in self._dcache]
         row = self._rows.get(j)
         if row is None:
-            row = self._rows[j] = _great_circle_row(self._points, j)
+            row = self._rows[j] = _great_circle_row(self._points[j], self._points)
         return row
 
+    def _lat_order(self, positions: list[int]) -> tuple[list[float], list[tuple]]:
+        """The bases at `positions` by latitude, for `_within`: their latitudes
+        ascending, and (index into positions, (lat, lon, cos(phi))) of each."""
+        points = self._points
+        order = sorted(range(len(positions)), key=lambda i: points[positions[i]][0])
+        return [points[positions[i]][0] for i in order], [(i, points[positions[i]]) for i in order]
 
-def _great_circle_row(points: list[tuple[float, float, float]], j: int) -> list[float]:
-    """`_haversine_km` from point j to every (lat, lon, cos(phi)) point, bit
+    def _within(self, base_id: str, radius: float, lat_order) -> list[tuple[float, int]]:
+        """(d, i) for every base of `lat_order` within `radius` great-circle km
+        of base_id, ascending; i is its index into the positions `_lat_order`
+        was given. d is the float `distances_to` gives. Only the bases inside
+        the latitude band and longitude span that `radius` allows are
+        measured."""
+        origin = lat, lon, _ = self._points[self.index_of(base_id)]
+        lats, entries = lat_order
+        reach = _lat_reach_deg(radius)
+        band = entries[bisect_left(lats, lat - reach):bisect_right(lats, lat + reach)]
+        span = _lon_reach_deg(radius, lat, reach)
+        if span < 180.0:
+            lo, hi = lon - span, lon + span
+            if -180.0 <= lo and hi <= 180.0:
+                band = [e for e in band if lo <= e[1][1] <= hi]
+            else:  # the span crosses the antimeridian
+                band = [e for e in band if abs((e[1][1] - lon + 180.0) % 360.0 - 180.0) <= span]
+        dists = _great_circle_row(origin, [p for _, p in band])
+        return sorted((d, i) for (i, _), d in zip(band, dists) if d <= radius)
+
+
+def _lat_reach_deg(radius_km: float) -> float:
+    """How many degrees of latitude a point within `radius_km` great-circle km
+    can differ by: the distance is at least R * |dphi|. The slack covers
+    rounding in the distance and in the latitude difference."""
+    return radius_km / (EARTH_RADIUS_KM * _DEG) * (1.0 + 1e-9) + 1e-9
+
+
+def _lon_reach_deg(radius_km: float, lat: float, lat_reach: float) -> float:
+    """How many degrees of longitude, taken the short way round, a point
+    within `radius_km` of a point at `lat` can differ by when its own latitude
+    is within `lat_reach` of `lat`; 180 when that rules nothing out.
+
+    The haversine term a is at least cos(phi1) cos(phi2) sin^2(dlam / 2), and
+    |phi2| <= far bounds cos(phi2) from below. The cutoff at 0.99 keeps asin
+    away from its steep end, where rounding would outgrow the slack.
+    """
+    far = min(90.0, abs(lat) + lat_reach)
+    c = math.cos(lat * _DEG) * math.cos(far * _DEG)
+    half = radius_km / (2.0 * EARTH_RADIUS_KM)
+    if half >= 1.5 or c <= 0.0:
+        return 180.0
+    s = math.sin(half) / math.sqrt(c)
+    if s >= 0.99:
+        return 180.0
+    return 2.0 * math.asin(s) / _DEG * (1.0 + 1e-9) + 1e-9
+
+
+def _great_circle_row(origin: tuple[float, float, float],
+                      points: list[tuple[float, float, float]]) -> list[float]:
+    """`_haversine_km` from origin to every (lat, lon, cos(phi)) point, bit
     for bit, whichever id is lower: each term is even in the sign of its
     difference (sin(-x)**2 == sin(x)**2) and cos(phi1) * cos(phi2) commutes."""
-    lat1, lon1, cos1 = points[j]
+    lat1, lon1, cos1 = origin
     deg = _DEG
     sin, asin, sqrt = math.sin, math.asin, math.sqrt
     hav = [sin((lat2 - lat1) * deg / 2.0) ** 2 + cos1 * cos2 * sin((lon2 - lon1) * deg / 2.0) ** 2

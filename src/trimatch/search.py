@@ -273,13 +273,13 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
     """
     d1 = t1.dist
     to_origin = dict(zip(space.base_ids, space.distances_to(t1.start)))
-    neighbors = index.neighbors
+    near = index.neighbors.within
     by_start = index.by_start
     start_dists = index.start_dists
 
     v1 = v2 = v3 = v4 = 0
     b1 = bound_e1(ell, u, d1)
-    for s, e1 in neighbors[t1.end]:
+    for s, e1 in near(t1.end, b1):
         if e1 > b1:
             break
         v1 += 1
@@ -298,7 +298,7 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
                 continue
             num2 = d1 + d2
             b3 = bound_e2(ell, u, d1, e1, d2)
-            for s2, e2 in neighbors[t2.end]:
+            for s2, e2 in near(t2.end, b3):
                 if e2 > b3:
                     break
                 v3 += 1

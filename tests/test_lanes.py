@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import sys
 import threading
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 from trimatch import (Base, Lane, MetricSpace, Query, UnknownBaseError, build_index,
                       enumerate_topk, lanes_in_range, load_lanes_csv, make_lane,
                       neighbors_within)
+from trimatch import metric
 from trimatch.generate import generate_instance
 from trimatch.lanes import _young_gc_off
 
@@ -191,6 +193,51 @@ def test_index_built_after_the_matrix_holds_every_row():
     assert rows_built(eager_space, eager) == (0, len(bases))
     assert dict(lazy.neighbors) == dict(eager.neighbors)
     assert rows_built(lazy_space, lazy) == (len(bases), len(bases))
+
+
+def test_rows_within_a_radius_hold_the_whole_rows_prefix():
+    bases, _ = generate_instance(60, 10, seed=23)
+    bases += [Base("twin", bases[0].lat, bases[0].lon),  # ties at every distance
+              Base("pole_n", 89.99, 10.0), Base("pole_n2", 89.98, -170.0),
+              Base("anti1", 0.0, 0.0), Base("anti0", 0.0, 180.0),
+              Base("west", 38.0, -179.99), Base("east", 38.0, 179.99),
+              Base("m_south", -1.0, 0.0), Base("k_north", 1.0, 0.0)]  # tie, seen from anti1
+    ids = [b.id for b in bases]
+    rng = random.Random(5)
+    pairs = {tuple(rng.sample(ids, 2)) for _ in range(200)} - {(ids[0], "twin"), ("twin", ids[0])}
+    pairs |= {(x, ids[1]) for x in (ids[0], "twin", "pole_n", "pole_n2", "anti0", "west", "east",
+                                   "m_south", "k_north")}
+
+    def index_on(space):
+        lanes = [make_lane(f"l{n:03d}", a, b, space) for n, (a, b) in enumerate(sorted(pairs))]
+        return build_index(lanes, space)
+
+    lazy = index_on(MetricSpace.great_circle(bases))
+    eager_space = MetricSpace.great_circle(bases)
+    eager_space.distance_matrix()
+    eager = index_on(eager_space)
+    for b in ids:
+        whole = [(s, d.hex()) for s, d in eager.neighbors[b]]
+        for r in (0.0, 40.0, 800.0, 300.0, 5000.0, 20100.0, math.inf, 10.0):
+            got = lazy.neighbors.within(b, r)
+            dists = [d for _, d in got]
+            assert dists == sorted(dists)
+            assert [(s, d.hex()) for s, d in got if d <= r] == \
+                [(s, d) for s, d in whole if float.fromhex(d) <= r], (b, r)
+        assert [(s, d.hex()) for s, d in lazy.neighbors[b]] == whole
+
+
+def test_a_row_within_a_small_radius_computes_few_distances(monkeypatch):
+    space, index = gc_instance(200, 700, seed=5)
+    asked = []
+    real = metric._great_circle_row
+    monkeypatch.setattr(metric, "_great_circle_row",
+                        lambda origin, points: asked.append(len(points)) or real(origin, points))
+    b = space.base_ids[0]
+    row = index.neighbors.within(b, 100.0)
+    assert row == neighbors_within(index, b, 100.0)
+    assert len(asked) == 1 and 0 < asked[0] < len(index.starts) // 10
+    assert rows_built(space, index) == (0, 1)
 
 
 def test_lanes_in_range_binary_search_positions():
