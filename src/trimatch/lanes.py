@@ -3,10 +3,10 @@
 For every base b the index keeps the list of lane-start bases ordered by
 distance from b, and for every start base s the lanes leaving s ordered by
 lane length. Both lists answer range queries with a binary search, so the
-enumeration backends only ever touch candidates inside their bounds. A
-base's list is sorted the first time it is read, or up front when the space
-already holds its distance matrix; the searches read it only as far as their
-bound, and on a great-circle space build only that part.
+enumeration backends only ever touch candidates inside their bounds. When
+the space already holds its distance matrix, `build_index` sorts every base's
+list up front; otherwise a list is built the first time it is read, and only
+as far as the reader's bound reaches.
 """
 
 from __future__ import annotations
@@ -54,11 +54,12 @@ _GC_SWITCH = threading.Lock()
 @contextmanager
 def _young_gc_off():
     """Make many new acyclic tuples without a cyclic collection traversing them.
+    Only `build_index` pauses the GC, to sort every neighbor row at once.
 
     The GC is paused while they are made, then freeze + unfreeze moves every
     tracked object, these included, to the oldest generation in O(1), so no
     young collection traverses them (skipped if the caller has frozen objects:
-    unfreeze would thaw those too). The lock keeps concurrent queries from
+    unfreeze would thaw those too). The lock keeps concurrent builds from
     reading each other's pause as the GC's state and leaving it off.
     """
     with _GC_SWITCH:
@@ -77,14 +78,15 @@ def _young_gc_off():
 class _NeighborRows(Mapping):
     """Every base -> [(start base, distance)] sorted by (distance, id).
 
-    A row is sorted the first time it is read, then kept. `within(b, radius)`
-    may instead keep only the starts within `radius` of b: on a great-circle
-    space with no matrix it measures just the starts inside the latitude band
-    and longitude span that radius allows, so a search pays for the
-    neighborhood its bounds admit rather than for all |starts|. Each entry is
-    (reach, row), with every start within `reach` of b in `row` (inf: the
-    whole row). Membership, len and iteration (every base id, in space order)
-    sort nothing.
+    `build_index` fills every row when the space holds its matrix. Otherwise
+    `within(b, radius)` builds b's row through `MetricSpace._within` on first
+    read, keeping only the starts within `radius` of b: it measures just the
+    starts inside the latitude band and longitude span that radius allows, so
+    a search pays for the neighborhood its bounds admit rather than for all
+    |starts|. `neighbors[b]` is `within(b, inf)`. Each entry is (reach, row),
+    with every start within `reach` of b in `row` (inf: the whole row), and a
+    read that asks for more rebuilds it. Membership, len and iteration (every
+    base id, in space order) build nothing.
     """
 
     def __init__(self, space: MetricSpace, start_ids: list[str], start_pos: list[int],
@@ -100,16 +102,9 @@ class _NeighborRows(Mapping):
         return self._space._lat_order(self._start_pos)
 
     def __getitem__(self, b: str) -> list[tuple[str, float]]:
-        entry = self._rows.get(b)
-        if entry is not None and entry[0] == math.inf:
-            return entry[1]
         if b not in self._space:
             raise KeyError(b)
-        # only reached without an index-time matrix, where distances to b are also from b
-        with _young_gc_off():
-            row = _sort_row(self._start_ids, self._space.distances_to(b), self._start_pos)
-        self._rows[b] = (math.inf, row)
-        return row
+        return self.within(b, math.inf)
 
     def within(self, b: str, radius: float) -> list[tuple[str, float]]:
         """b's row up to at least `radius`, nearest first: every start within
@@ -117,8 +112,6 @@ class _NeighborRows(Mapping):
         entry = self._rows.get(b)
         if entry is not None and entry[0] >= radius:
             return entry[1]
-        if self._space._dcache is not None:  # the distances are paid for
-            return self[b]
         start_ids = self._start_ids
         row = [(start_ids[i], d) for d, i in self._space._within(b, radius, self._by_lat)]
         self._rows[b] = (radius, row)
@@ -138,10 +131,11 @@ class _NeighborRows(Mapping):
 class LaneIndex:
     """Built by build_index; safe to share across concurrent queries.
 
-    Only the neighbor rows fill on first read, each stored whole with one
-    dict assignment once sorted, so concurrent readers at worst sort a row
-    twice. A row read through `neighbors.within(b, radius)` may hold only the
-    starts within that radius until a read asks for more.
+    Only the neighbor rows fill on first read (unless the space held its
+    matrix when the index was built), each stored whole with one dict
+    assignment once sorted, so concurrent readers at worst build a row twice.
+    A row read through `neighbors.within(b, radius)` may hold only the starts
+    within that radius until a read asks for more.
 
     lanes          all lanes, sorted by id
     by_id          lane id -> lane
@@ -186,8 +180,10 @@ def build_index(lanes, space: MetricSpace) -> LaneIndex:
     start_pos = [space.index_of(s) for s in start_ids]
     rows: dict[str, tuple[float, list[tuple[str, float]]]] = {}
     if space._dcache is not None:  # the distances are paid for: sort every row now
+        # a stable sort over starts in id order keeps ties in id order
         with _young_gc_off():
-            rows = {b: (math.inf, _sort_row(start_ids, row, start_pos))
+            rows = {b: (math.inf, sorted(zip(start_ids, map(row.__getitem__, start_pos)),
+                                         key=itemgetter(1)))
                     for b, row in zip(space.base_ids, space._dcache)}
 
     return LaneIndex(
@@ -198,12 +194,6 @@ def build_index(lanes, space: MetricSpace) -> LaneIndex:
         starts=starts,
         neighbors=_NeighborRows(space, start_ids, start_pos, rows),
     )
-
-
-def _sort_row(start_ids: list[str], row: list[float],
-              start_pos: list[int]) -> list[tuple[str, float]]:
-    # stable sort over starts in id order: ties stay in id order
-    return sorted(zip(start_ids, map(row.__getitem__, start_pos)), key=itemgetter(1))
 
 
 def neighbors_within(index: LaneIndex, b: str, radius: float) -> list[tuple[str, float]]:

@@ -47,8 +47,9 @@ class MetricSpace:
     """Immutable base registry plus its distances: the explicit km `matrix`
     when one is given, else great-circle distances from the coordinates.
 
-    Great-circle distances are evaluated with the arguments in lexicographic
-    id order so that d(a, b) and d(b, a) are the same float, not merely close.
+    Great-circle d(a, b) and d(b, a) are the same float, not merely close:
+    every haversine term is even in the sign of its difference, and
+    cos(phi1) * cos(phi2) commutes.
 
     Great-circle distances are cached as they are first read: a row of
     `distances_to` per base, or the whole matrix once `distance_matrix()` is
@@ -118,8 +119,6 @@ class MetricSpace:
         if self._dcache is not None:
             return self._dcache[i][j]
         ba, bb = self.bases[i], self.bases[j]
-        if ba.id > bb.id:
-            ba, bb = bb, ba
         return _haversine_km(ba.lat, ba.lon, bb.lat, bb.lon)
 
     def distance_matrix(self) -> list[list[float]]:
@@ -127,8 +126,8 @@ class MetricSpace:
 
         O(|B|^2) memory; the per-base neighbor lists need every pair anyway,
         so index construction amortizes this. A great-circle space evaluates
-        each unordered pair once, lower id first, and stores that one float
-        object at both (a, b) and (b, a).
+        each unordered pair once and stores that one float object at both
+        (a, b) and (b, a).
         """
         if self._dcache is None:
             self._dcache = _great_circle_matrix(self.bases)
@@ -213,8 +212,10 @@ def _lon_reach_deg(radius_km: float, lat: float, lat_reach: float) -> float:
 def _great_circle_row(origin: tuple[float, float, float],
                       points: list[tuple[float, float, float]]) -> list[float]:
     """`_haversine_km` from origin to every (lat, lon, cos(phi)) point, bit
-    for bit, whichever id is lower: each term is even in the sign of its
-    difference (sin(-x)**2 == sin(x)**2) and cos(phi1) * cos(phi2) commutes."""
+    for bit, in either argument order: each term is even in the sign of its
+    difference (sin(-x)**2 == sin(x)**2) and cos(phi1) * cos(phi2) commutes.
+    Clamping `a` before the square root equals clamping after it, since sqrt
+    is correctly rounded."""
     lat1, lon1, cos1 = origin
     deg = _DEG
     sin, asin, sqrt = math.sin, math.asin, math.sqrt
@@ -227,31 +228,14 @@ def _great_circle_row(origin: tuple[float, float, float],
 def _great_circle_matrix(bases: tuple[Base, ...]) -> list[list[float]]:
     """`_haversine_km` over every pair, bit for bit, at one evaluation per pair.
 
-    Rows are built in id order: row r computes its pairs with every later id
-    and takes its earlier entries from the rows above it. cos(phi) is hoisted
-    per base, and clamping `a` before the square root equals clamping after
-    it, since sqrt is correctly rounded.
+    Row r computes its pairs with every later position and takes its earlier
+    entries from the rows above it.
     """
-    n = len(bases)
-    order = sorted(range(n), key=lambda p: bases[p].id)
-    lat = [bases[p].lat for p in order]
-    lon = [bases[p].lon for p in order]
-    deg = _DEG
-    cos_phi = [math.cos(x * deg) for x in lat]
-    diameter = 2.0 * EARTH_RADIUS_KM
-    sin, asin, sqrt = math.sin, math.asin, math.sqrt
+    points = [(b.lat, b.lon, math.cos(b.lat * _DEG)) for b in bases]
     rows: list[list[float]] = []
-    for r in range(n):
-        lat1, lon1, cos1 = lat[r], lon[r], cos_phi[r]
-        hav = [sin((lat2 - lat1) * deg / 2.0) ** 2
-               + cos1 * cos2 * sin((lon2 - lon1) * deg / 2.0) ** 2
-               for lat2, lon2, cos2 in zip(lat[r + 1:], lon[r + 1:], cos_phi[r + 1:])]
-        rows.append([row[r] for row in rows] + [0.0]
-                    + [diameter * asin(sqrt(a if a < 1.0 else 1.0)) for a in hav])
-    if order == list(range(n)):
-        return rows
-    rank = sorted(range(n), key=order.__getitem__)  # position -> row in id order
-    return [[row[k] for k in rank] for row in (rows[r] for r in rank)]
+    for r, origin in enumerate(points):
+        rows.append([row[r] for row in rows] + [0.0] + _great_circle_row(origin, points[r + 1:]))
+    return rows
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ def test_gen_exhausts_all_ordered_pairs(runner, tmp_path):
     res = runner.invoke(main, ["gen", "--n-bases", "2", "--n-lanes", "2",
                                "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
-    rows = list(csv.DictReader((tmp_path / "lanes.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "lanes.csv").read_text().splitlines()))
     pairs = {(r["origin_base_id"], r["dest_base_id"]) for r in rows}
     assert len(pairs) == 2 and all(a != b for a, b in pairs)
 
@@ -53,12 +53,12 @@ def test_gen_scales_and_stays_in_box(runner, tmp_path):
     res = runner.invoke(main, ["gen", "--n-bases", "500", "--n-lanes", "1750",
                                "--seed", "3", "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
-    bases = list(csv.DictReader((tmp_path / "bases.csv").open()))
+    bases = list(csv.DictReader((tmp_path / "bases.csv").read_text().splitlines()))
     assert len(bases) == 500
     for b in bases:
         assert 31.0 <= float(b["lat"]) <= 45.0
         assert 130.0 <= float(b["lon"]) <= 145.0
-    lanes = list(csv.DictReader((tmp_path / "lanes.csv").open()))
+    lanes = list(csv.DictReader((tmp_path / "lanes.csv").read_text().splitlines()))
     pairs = [(r["origin_base_id"], r["dest_base_id"]) for r in lanes]
     assert len(pairs) == 1750 == len(set(pairs))
     assert all(a != b for a, b in pairs)
@@ -289,7 +289,7 @@ def test_match_csv_output_parses(runner, tmp_path):
     res = runner.invoke(main, ["match", "AB", *tri4_args(tmp_path),
                                "--l", "0.9", "--format", "csv", "--out", str(out)])
     assert res.exit_code == 0, res.output
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 2
     assert {r["t2"] for r in rows} == {"BC"}
 
@@ -311,7 +311,7 @@ def test_match_csv_header_does_not_depend_on_the_result(runner, tmp_path, flags)
 def test_match_records_roundtrip_to_printed_precision(runner, tmp_path):
     runner.invoke(main, ["gen", "--n-bases", "25", "--n-lanes", "80",
                          "--seed", "5", "--out", str(tmp_path)])
-    lanes = list(csv.DictReader((tmp_path / "lanes.csv").open()))
+    lanes = list(csv.DictReader((tmp_path / "lanes.csv").read_text().splitlines()))
     res = runner.invoke(main, ["match", lanes[0]["lane_id"],
                                "--bases", str(tmp_path / "bases.csv"),
                                "--lanes", str(tmp_path / "lanes.csv"),

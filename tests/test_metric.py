@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from trimatch import (Base, MetricSpace, UnknownBaseError, load_bases_csv,
                       load_matrix_csv, validate_metric)
 from trimatch.generate import generate_instance
-from trimatch.metric import EARTH_RADIUS_KM, _great_circle_matrix, _haversine_km
+from trimatch.metric import (EARTH_RADIUS_KM, _great_circle_matrix, _great_circle_row,
+                             _haversine_km)
 
 from conftest import gc_instance
 
@@ -93,6 +94,27 @@ def test_lazy_rows_are_bit_identical_to_the_matrix_and_pairwise_haversine():
             lo, hi = (a, b) if a.id < b.id else (b, a)
             assert got.hex() == _haversine_km(lo.lat, lo.lon, hi.lat, hi.lon).hex()
     assert len(space._rows) == len(bases) and space._dcache is None
+
+
+def test_great_circle_distances_do_not_depend_on_argument_order():
+    import random
+    bases = [Base("n_pole", 90.0, 0.0), Base("n_pole2", 90.0, -120.0), Base("s_pole", -90.0, 45.0),
+             Base("east", 12.5, 180.0), Base("west", 12.5, -180.0), Base("west2", -33.0, -179.999),
+             Base("anti_a", 10.0, 20.0), Base("anti_b", -10.0, -160.0),  # clamp path
+             Base("twin1", 35.7, 139.7), Base("twin2", 35.7, 139.7),
+             Base("zero", -0.0, -0.0), Base("origin", 0.0, 0.0), Base("negz", -0.0, 1e-4),
+             Base("tiny", 1e-300, -1e-300), Base("mid", 41.3, -73.9)]
+    random.Random(8).shuffle(bases)
+    assert [b.id for b in bases] != sorted(b.id for b in bases)
+    space = MetricSpace.great_circle(bases)
+    for a in bases:
+        for b in bases:
+            ab = _haversine_km(a.lat, a.lon, b.lat, b.lon)
+            assert ab.hex() == _haversine_km(b.lat, b.lon, a.lat, a.lon).hex(), (a.id, b.id)
+            assert space.distance(a.id, b.id).hex() == space.distance(b.id, a.id).hex() == ab.hex()
+    points = [(b.lat, b.lon, math.cos(math.radians(b.lat))) for b in bases]
+    for i, row in enumerate(space.distance_matrix()):
+        assert [x.hex() for x in row] == [x.hex() for x in _great_circle_row(points[i], points)]
 
 
 def test_distances_to_is_the_matrix_column():
