@@ -99,6 +99,13 @@ def _triangle_record(tr, shares=None, ell_star=None) -> dict:
     return rec
 
 
+def _write_out(out: str, text: str) -> None:
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc.strerror or exc}") from exc
+
+
 def _emit_records(records: list[dict], fmt: str, out: str | None,
                   shapley: bool, ranked: bool) -> None:
     if fmt == "jsonl":
@@ -122,7 +129,7 @@ def _emit_records(records: list[dict], fmt: str, out: str | None,
             writer.writerow(row)
         text = buf.getvalue()
     if out:
-        Path(out).write_text(text)
+        _write_out(out, text)
     else:
         click.echo(text, nl=False)
 
@@ -236,7 +243,7 @@ def match(lane_id, bases_path, lanes_path, matrix_path, provider, ell, u_km, u_f
 @click.option("--matrix", "matrix_path", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--provider", type=click.Choice([GREAT_CIRCLE, MATRIX]), default=GREAT_CIRCLE,
               show_default=True)
-@click.option("--queries", type=int, default=100, show_default=True,
+@click.option("--queries", type=click.IntRange(min=0), default=100, show_default=True,
               help="Client lanes sampled without replacement.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--algo", "algos", type=click.Choice(list(BACKENDS)),
@@ -274,7 +281,6 @@ def bench(bases_path, lanes_path, matrix_path, provider, queries, seed, algos, e
     if out:
         if fmt == "jsonl":
             text = "".join(json.dumps(row_to_dict(r)) + "\n" for r in rows)
-            Path(out).write_text(text)
         else:
             buf = io.StringIO()
             writer = csv.DictWriter(buf, [f.name for f in fields(QueryRow)])
@@ -282,7 +288,8 @@ def bench(bases_path, lanes_path, matrix_path, provider, queries, seed, algos, e
             for r in rows:
                 writer.writerow({**row_to_dict(r), "u": f"{r.u:.3f}",
                                  "level_visits": "/".join(map(str, r.level_visits))})
-            Path(out).write_text(buf.getvalue())
+            text = buf.getvalue()
+        _write_out(out, text)
         click.echo(f"rows: {len(rows)} written to {out}")
 
     cells = aggregate(rows)

@@ -21,7 +21,9 @@ the rising threshold back into the bounds. quad stays a separate, unpruned
 loop: it walks start bases in id order, not by distance.
 
 All backends compute the rate and mileage with one shared expression
-ordering, so feasibility decisions agree bit-for-bit across them.
+ordering, so feasibility decisions agree bit-for-bit across them. The bounded
+kernel hoists every bound term that does not change inside a loop, and
+inlines the innermost window, since most level-3 bodies scan few lanes.
 """
 
 from __future__ import annotations
@@ -147,16 +149,17 @@ def bound_e2(ell: float, u: float, d1: float, e1: float, d2: float) -> float:
     return min(u * (1.0 - ell) - e1, u - (d1 + e1 + d2)) + BOUND_SLACK * u
 
 
+def _d3_rate_terms(ell: float, u: float) -> tuple[float, float]:
+    """Rate factor and slack of the third-lane lower bound; both 0 at ell == 1."""
+    return (0.0, 0.0) if ell == 1.0 else (ell / (1.0 - ell), BOUND_SLACK * u / (1.0 - ell))
+
+
 def bound_d3(ell: float, u: float, d1: float, e1: float, d2: float,
              e2: float) -> tuple[float, float]:
     """Admissible third-lane length range (lower clamped to 0)."""
     upper = u - (d1 + e1 + d2 + e2) + BOUND_SLACK * u
-    if ell == 1.0:
-        lower = 0.0
-    else:
-        lower = max(0.0, ell / (1.0 - ell) * (e1 + e2) - (d1 + d2)
-                    - BOUND_SLACK * u / (1.0 - ell))
-    return lower, upper
+    ratio, lslack = _d3_rate_terms(ell, u)
+    return max(0.0, ratio * (e1 + e2) - (d1 + d2) - lslack), upper
 
 
 def _client_lane(index: LaneIndex, lane_id: str) -> Lane:
@@ -266,24 +269,29 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
     and partial cycles that already cannot return within `u` are dropped as
     soon as the triangle inequality exposes them. Every triangle passing the
     inclusive final test goes to `accept(tri)`, which returns the rate
-    threshold for the rest of the search. When it rises, the two bounds
-    hoisted out of their loops are recomputed, which gives the same scans as
-    re-reading them on every iteration: each depends only on `ell` and on
-    values fixed inside its loop.
+    threshold for the rest of the search. When it rises, the hoisted terms
+    that depend on it (b1, b3, `_d3_rate_terms`) are recomputed, which gives
+    the same scans as re-reading them on every iteration. Most level-3 bodies
+    scan few lanes, so their set-up is inlined: `bound_d3`'s window from those
+    terms and the sums a1..a3 (the same floats as the six-term sum).
     """
     d1 = t1.dist
+    t1_id = t1.id
     to_origin = dict(zip(space.base_ids, space.distances_to(t1.start)))
     near = index.neighbors.within
     by_start = index.by_start
     start_dists = index.start_dists
+    slack = BOUND_SLACK * u
 
     v1 = v2 = v3 = v4 = 0
     b1 = bound_e1(ell, u, d1)
+    ratio, lslack = _d3_rate_terms(ell, u)
     for s, e1 in near(t1.end, b1):
         if e1 > b1:
             break
         v1 += 1
-        if u < d1 + e1 + to_origin[s]:
+        a1 = d1 + e1
+        if u < a1 + to_origin[s]:
             continue
         lb2, ub2 = bound_d2(ell, u, d1, e1)
         group = by_start[s]
@@ -291,10 +299,12 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
             d2 = t2.dist
             if d2 > ub2:
                 break
-            if t2.id == t1.id:
+            t2_id = t2.id
+            if t2_id == t1_id:
                 continue
             v2 += 1
-            if u < d1 + e1 + d2 + to_origin[t2.end]:
+            a2 = a1 + d2
+            if u < a2 + to_origin[t2.end]:
                 continue
             num2 = d1 + d2
             b3 = bound_e2(ell, u, d1, e1, d2)
@@ -302,28 +312,35 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
                 if e2 > b3:
                     break
                 v3 += 1
-                if u < d1 + e1 + d2 + e2 + to_origin[s2]:
+                a3 = a2 + e2
+                if u < a3 + to_origin[s2]:
                     continue
-                lb4, ub4 = bound_d3(ell, u, d1, e1, d2, e2)
-                group2 = by_start[s2]
-                for t3 in group2[bisect_left(start_dists[s2], lb4):]:
+                ub4 = u - a3 + slack
+                dists2 = start_dists[s2]
+                if dists2[0] > ub4:
+                    continue
+                lb4 = ratio * (e1 + e2) - num2 - lslack
+                group2 = by_start[s2] if lb4 <= 0.0 else by_start[s2][bisect_left(dists2, lb4):]
+                for t3 in group2:
                     d3 = t3.dist
                     if d3 > ub4:
                         break
-                    if t3.id == t1.id or t3.id == t2.id:
+                    t3_id = t3.id
+                    if t3_id == t1_id or t3_id == t2_id:
                         continue
                     v4 += 1
                     e3 = to_origin[t3.end]
-                    total = d1 + e1 + d2 + e2 + d3 + e3
+                    total = a3 + d3 + e3
                     if total <= u:
                         ovr = (num2 + d3) / total
                         if ovr >= ell:
-                            floor = accept(Triangle(t1.id, t2.id, t3.id, d1, d2, d3,
+                            floor = accept(Triangle(t1_id, t2_id, t3_id, d1, d2, d3,
                                                     e1, e2, e3, ovr, total))
                             if floor != ell:
                                 ell = floor
                                 b1 = bound_e1(ell, u, d1)
                                 b3 = bound_e2(ell, u, d1, e1, d2)
+                                ratio, lslack = _d3_rate_terms(ell, u)
     return v1, v2, v3, v4
 
 

@@ -294,6 +294,16 @@ def test_match_csv_output_parses(runner, tmp_path):
     assert {r["t2"] for r in rows} == {"BC"}
 
 
+def test_match_out_into_missing_directory_exits_2(runner, tmp_path):
+    write_tri4_files(tmp_path)
+    out = tmp_path / "missing" / "out.csv"
+    res = runner.invoke(main, ["match", "AB", *tri4_args(tmp_path),
+                               "--l", "0.9", "--format", "csv", "--out", str(out)])
+    assert res.exit_code == 2
+    assert f"cannot write {out}" in res.output
+    assert "Traceback" not in res.output
+
+
 @pytest.mark.parametrize("flags", [["--shapley"], ["--k", "3"], ["--k", "3", "--shapley"]])
 def test_match_csv_header_does_not_depend_on_the_result(runner, tmp_path, flags):
     write_tri4_files(tmp_path)
@@ -401,6 +411,22 @@ def test_bench_too_many_queries_exits_2(runner, tmp_path):
     runner.invoke(main, ["gen", "--n-bases", "5", "--n-lanes", "8", "--out", str(tmp_path)])
     res = runner.invoke(main, bench_args(tmp_path, "--queries", "100"))
     assert res.exit_code == 2
+
+
+def test_bench_negative_queries_exits_2(runner, tmp_path):
+    runner.invoke(main, ["gen", "--n-bases", "10", "--n-lanes", "20", "--out", str(tmp_path)])
+    res = runner.invoke(main, bench_args(tmp_path, "--queries", "-1"))
+    assert res.exit_code == 2
+    assert "--queries" in res.output and "x>=0" in res.output
+
+
+def test_bench_out_into_missing_directory_exits_2(runner, tmp_path):
+    runner.invoke(main, ["gen", "--n-bases", "10", "--n-lanes", "20", "--out", str(tmp_path)])
+    out = tmp_path / "missing" / "rows.jsonl"
+    res = runner.invoke(main, bench_args(tmp_path, "--queries", "2", "--out", str(out)))
+    assert res.exit_code == 2
+    assert f"cannot write {out}" in res.output
+    assert "Traceback" not in res.output
 
 
 def test_bench_conflicting_u_modes_exits_2(runner, tmp_path):
