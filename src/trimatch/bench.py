@@ -55,7 +55,7 @@ def sample_query_lanes(index: LaneIndex, count: int, seed: int) -> list[str]:
 
 def run_queries(index: LaneIndex, space: MetricSpace, lane_ids, algos, ells,
                 u_factor: float | None = 4.0, u_km: float | None = None,
-                k: int | None = None, deterministic: bool = False) -> list[QueryRow]:
+                k: int | None = None) -> list[QueryRow]:
     """One row per (ell, algo, lane). All cells see the identical query list."""
     for algo in algos:
         if algo not in BACKENDS:
@@ -66,11 +66,10 @@ def run_queries(index: LaneIndex, space: MetricSpace, lane_ids, algos, ells,
     for ell in ells:
         for algo in algos:
             search = BACKENDS[algo]
-            opts = {"deterministic": deterministic} if algo == "topk" else {}
             for lane_id in lane_ids:
                 u = u_km if u_km is not None else u_factor * index.by_id[lane_id].dist
                 query = Query(lane_id, ell, u, k if algo == "topk" else None)
-                rs = search(index, space, query, **opts)
+                rs = search(index, space, query)
                 rows.append(QueryRow(lane_id, algo, ell, u, query.k, rs.stats.seconds,
                                      len(rs.triangles), rs.stats.candidates,
                                      rs.stats.level_visits, rs.ell_star))

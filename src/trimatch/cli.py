@@ -26,9 +26,6 @@ from .metric import (MetricSpace, UnknownBaseError, load_bases_csv,
                      load_matrix_csv, validate_metric)
 from .search import BACKENDS, Query, enumerate_topk
 
-GREAT_CIRCLE = "greatcircle"
-MATRIX = "matrix"
-
 
 class InputError(click.ClickException):
     exit_code = 2
@@ -39,28 +36,24 @@ def main():
     """Find triangular transports for full-truckload lanes."""
 
 
-def _read_space(bases_path: str, matrix_path: str | None, provider: str) -> MetricSpace:
-    if matrix_path is not None and provider != MATRIX:
-        raise InputError("--matrix requires --provider matrix")
+def _read_space(bases_path: str, matrix_path: str | None) -> MetricSpace:
+    """Matrix distances when a matrix file is given, else great-circle ones."""
     try:
         bases = load_bases_csv(bases_path)
-        if provider == MATRIX:
-            if matrix_path is None:
-                raise InputError("--provider matrix requires --matrix")
-            matrix = load_matrix_csv(matrix_path)
-            if len(matrix) != len(bases):
-                raise InputError(f"{matrix_path} has {len(matrix)} rows for the "
-                                 f"{len(bases)} bases in {bases_path}")
-            return MetricSpace.from_matrix(bases, matrix)
-        return MetricSpace.great_circle(bases)
+        if matrix_path is None:
+            return MetricSpace.great_circle(bases)
+        matrix = load_matrix_csv(matrix_path)
+        if len(matrix) != len(bases):
+            raise InputError(f"{matrix_path} has {len(matrix)} rows for the "
+                             f"{len(bases)} bases in {bases_path}")
+        return MetricSpace.from_matrix(bases, matrix)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
-def _load_space(bases_path: str, matrix_path: str | None, provider: str,
-                force: bool) -> MetricSpace:
-    space = _read_space(bases_path, matrix_path, provider)
-    if provider == MATRIX:
+def _load_space(bases_path: str, matrix_path: str | None, force: bool) -> MetricSpace:
+    space = _read_space(bases_path, matrix_path)
+    if matrix_path is not None:
         # explicit matrices carry no proof of metricity; refuse bad ones
         report = validate_metric(space)
         if not report.ok:
@@ -156,16 +149,15 @@ def gen(n_bases, n_lanes, seed, out):
 @main.command()
 @click.option("--bases", "bases_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--lanes", "lanes_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--matrix", "matrix_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--provider", type=click.Choice([GREAT_CIRCLE, MATRIX]), default=GREAT_CIRCLE,
-              show_default=True)
+@click.option("--matrix", "matrix_path", default=None, type=click.Path(exists=True, dir_okay=False),
+              help="km distance grid to use in place of great-circle distances.")
 @click.option("--samples", type=click.IntRange(min=0), default=1000, show_default=True,
               help="Random triples for the triangle-inequality check.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--force", is_flag=True, help="Report violations but exit 0.")
-def validate(bases_path, lanes_path, matrix_path, provider, samples, seed, force):
+def validate(bases_path, lanes_path, matrix_path, samples, seed, force):
     """Check the metric axioms and lane-file integrity."""
-    space = _read_space(bases_path, matrix_path, provider)
+    space = _read_space(bases_path, matrix_path)
     report = validate_metric(space, samples=samples, seed=seed)
     click.echo(report.summary())
     lane_trouble = None
@@ -185,9 +177,8 @@ def validate(bases_path, lanes_path, matrix_path, provider, samples, seed, force
 @click.argument("lane_id")
 @click.option("--bases", "bases_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--lanes", "lanes_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--matrix", "matrix_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--provider", type=click.Choice([GREAT_CIRCLE, MATRIX]), default=GREAT_CIRCLE,
-              show_default=True)
+@click.option("--matrix", "matrix_path", default=None, type=click.Path(exists=True, dir_okay=False),
+              help="km distance grid to use in place of great-circle distances.")
 @click.option("--l", "ell", type=float, required=True, help="Desired occupied vehicle rate.")
 @click.option("--u-km", type=float, default=None, help="Absolute mileage cap in km.")
 @click.option("--u-factor", type=float, default=None,
@@ -199,11 +190,9 @@ def validate(bases_path, lanes_path, matrix_path, provider, samples, seed, force
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default="jsonl",
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--deterministic", is_flag=True,
-              help="Resolve equal-rate ties at the kth rank by lane ids.")
 @click.option("--force", is_flag=True, help="Skip the metric gate on matrix inputs.")
-def match(lane_id, bases_path, lanes_path, matrix_path, provider, ell, u_km, u_factor,
-          k, algo, shapley, fmt, out, deterministic, force):
+def match(lane_id, bases_path, lanes_path, matrix_path, ell, u_km, u_factor,
+          k, algo, shapley, fmt, out, force):
     """List feasible triangular transports containing LANE_ID."""
     u_factor = _u_factor(u_km, u_factor)
     algo = algo or ("topk" if k is not None else "pruned")
@@ -212,7 +201,7 @@ def match(lane_id, bases_path, lanes_path, matrix_path, provider, ell, u_km, u_f
     if algo != "topk" and k is not None:
         raise InputError("--k only applies to --algo topk")
 
-    space = _load_space(bases_path, matrix_path, provider, force)
+    space = _load_space(bases_path, matrix_path, force)
     index = _load_index(lanes_path, space)
     if lane_id not in index.by_id:
         raise InputError(f"unknown lane id {lane_id!r}")
@@ -224,7 +213,7 @@ def match(lane_id, bases_path, lanes_path, matrix_path, provider, ell, u_km, u_f
         raise InputError(str(exc)) from exc
 
     if algo == "topk":  # called by name, so wrappers around cli.enumerate_topk see it
-        rs = enumerate_topk(index, space, query, deterministic=deterministic)
+        rs = enumerate_topk(index, space, query)
     else:
         rs = BACKENDS[algo](index, space, query)
 
@@ -240,9 +229,8 @@ def match(lane_id, bases_path, lanes_path, matrix_path, provider, ell, u_km, u_f
 @main.command()
 @click.option("--bases", "bases_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--lanes", "lanes_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--matrix", "matrix_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--provider", type=click.Choice([GREAT_CIRCLE, MATRIX]), default=GREAT_CIRCLE,
-              show_default=True)
+@click.option("--matrix", "matrix_path", default=None, type=click.Path(exists=True, dir_okay=False),
+              help="km distance grid to use in place of great-circle distances.")
 @click.option("--queries", type=click.IntRange(min=0), default=100, show_default=True,
               help="Client lanes sampled without replacement.")
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -258,13 +246,14 @@ def match(lane_id, bases_path, lanes_path, matrix_path, provider, ell, u_km, u_f
               help="Write per-query rows here.")
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default="jsonl",
               show_default=True)
-@click.option("--deterministic", is_flag=True)
 @click.option("--force", is_flag=True)
-def bench(bases_path, lanes_path, matrix_path, provider, queries, seed, algos, ells,
-          u_factor, u_km, k, out, fmt, deterministic, force):
+def bench(bases_path, lanes_path, matrix_path, queries, seed, algos, ells,
+          u_factor, u_km, k, out, fmt, force):
     """Run a query batch over a rate grid and summarize per grid cell."""
     u_factor = _u_factor(u_km, u_factor)
-    space = _load_space(bases_path, matrix_path, provider, force)
+    if out:
+        _write_out(out, "")  # an unwritable path fails before the batch runs
+    space = _load_space(bases_path, matrix_path, force)
     build_start = perf_counter()
     index = _load_index(lanes_path, space)
     build_seconds = perf_counter() - build_start
@@ -273,8 +262,7 @@ def bench(bases_path, lanes_path, matrix_path, provider, queries, seed, algos, e
     try:
         lane_ids = sample_query_lanes(index, queries, seed)
         rows = run_queries(index, space, lane_ids, algos, ells or DEFAULT_ELL_GRID,
-                           u_factor=u_factor, u_km=u_km, k=k,
-                           deterministic=deterministic)
+                           u_factor=u_factor, u_km=u_km, k=k)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 

@@ -13,7 +13,8 @@ mileage stays within `u`. Four backends produce the same set:
            prefix / range
   topk     the same bounded search keeping a size-k min-heap; the
            feasibility threshold rises to the provisional kth-best rate as
-           candidates accumulate
+           candidates accumulate, and ties at the kth rate go to the
+           smallest (t2, t3)
 
 pruned and topk are one bounded kernel, `_bounded_search`, with different
 result sinks: pruned collects every triangle, topk keeps the k best and feeds
@@ -33,7 +34,6 @@ import math
 from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import count
 from operator import attrgetter
 from time import perf_counter
 
@@ -367,21 +367,18 @@ class _Descending(tuple):
     __lt__ = tuple.__gt__
 
 
-def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query,
-                   deterministic: bool = False) -> ResultSet:
+def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query) -> ResultSet:
     """Keep the k best rates in a min-heap while searching with rising bounds.
 
     Until k candidates are found the requested rate is the threshold; once
     the heap is full the threshold jumps to the heap minimum after every
     insertion, shrinking all four scan ranges for the rest of the run.
 
-    Heap entries are (ovr, tie, tri) tuples, so heap[0] is the worst: the
-    lowest rate, and among equal rates the smallest tie. Ties are unique, so
-    `tri` is never compared. With deterministic=False the tie is the arrival
-    number: the oldest entry ranks worst, and a candidate tying the kth rate
-    replaces it. With deterministic=True it is (t2, t3) reversed, so the
-    survivors are the top-k prefix of the full result ordered by
-    (rate desc, t2, t3).
+    Heap entries are (ovr, tie, tri) tuples with tie = (t2, t3) reversed, so
+    heap[0] is the worst: the lowest rate, and among equal rates the largest
+    (t2, t3). Ties are unique, so `tri` is never compared, and the survivors
+    are the top-k prefix of the full result ordered by (rate desc, t2, t3),
+    whatever order the search finds them in.
     """
     if query.k is None:
         raise ValueError("top-k search needs query.k")
@@ -389,13 +386,12 @@ def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query,
     t1 = _client_lane(index, query.t1)
     k = query.k
     ell = query.ell
-    heap: list[tuple[float, object, Triangle]] = []
+    heap: list[tuple[float, _Descending, Triangle]] = []
     trace: list[float] = []
-    arrivals = count()
 
     def keep_best(tri: Triangle) -> float:
         nonlocal ell
-        entry = (tri.ovr, _Descending((tri.t2, tri.t3)) if deterministic else next(arrivals), tri)
+        entry = (tri.ovr, _Descending((tri.t2, tri.t3)), tri)
         if len(heap) < k:
             heapq.heappush(heap, entry)
         elif heap[0] < entry:
@@ -411,6 +407,6 @@ def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query,
 
 
 # name -> backend for the CLI and the bench harness; each takes (index, space,
-# query), and topk also `deterministic`
+# query)
 BACKENDS = {"brute": enumerate_bruteforce, "quad": enumerate_quad,
             "pruned": enumerate_pruned, "topk": enumerate_topk}

@@ -5,7 +5,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from trimatch import cli
 from trimatch.cli import main
+
+from test_search_pinned import LINE_LANES, LINE_POINTS
 
 
 @pytest.fixture
@@ -26,7 +29,7 @@ def write_tri4_files(root: Path):
 
 def tri4_args(root: Path):
     return ["--bases", str(root / "bases.csv"), "--lanes", str(root / "lanes.csv"),
-            "--matrix", str(root / "matrix.csv"), "--provider", "matrix"]
+            "--matrix", str(root / "matrix.csv")]
 
 
 # --- gen --------------------------------------------------------------------
@@ -95,20 +98,12 @@ def test_validate_asymmetric_matrix_exits_3(runner, tmp_path):
     (tmp_path / "bases.csv").write_text("base_id\np\nq\n")
     (tmp_path / "matrix.csv").write_text("0,1\n5,0\n")
     args = ["validate", "--bases", str(tmp_path / "bases.csv"),
-            "--matrix", str(tmp_path / "matrix.csv"), "--provider", "matrix"]
+            "--matrix", str(tmp_path / "matrix.csv")]
     res = runner.invoke(main, args)
     assert res.exit_code == 3
     assert "symmetry" in res.output
     res = runner.invoke(main, args + ["--force"])
     assert res.exit_code == 0
-
-
-def test_validate_matrix_provider_without_matrix_exits_2(runner, tmp_path):
-    (tmp_path / "bases.csv").write_text("base_id\np\nq\n")
-    res = runner.invoke(main, ["validate", "--bases", str(tmp_path / "bases.csv"),
-                               "--provider", "matrix"])
-    assert res.exit_code == 2
-    assert "requires --matrix" in res.output
 
 
 def test_validate_negative_samples_exits_2(runner, tmp_path):
@@ -120,15 +115,16 @@ def test_validate_negative_samples_exits_2(runner, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["validate", "match"])
-def test_matrix_without_matrix_provider_exits_2(runner, tmp_path, command):
-    runner.invoke(main, ["gen", "--n-bases", "5", "--n-lanes", "6", "--out", str(tmp_path)])
-    (tmp_path / "matrix.csv").write_text("\n".join(["0,1,1,1,1"] * 5) + "\n")
-    args = ["--bases", str(tmp_path / "bases.csv"), "--matrix", str(tmp_path / "matrix.csv")]
+def test_bases_without_coordinates_need_a_matrix(runner, tmp_path, command):
+    (tmp_path / "bases.csv").write_text("base_id\np\nq\n")
+    (tmp_path / "lanes.csv").write_text("lane_id,origin_base_id,dest_base_id\npq,p,q\n")
+    args = ["--bases", str(tmp_path / "bases.csv")]
     if command == "match":
-        args = ["l0001", *args, "--lanes", str(tmp_path / "lanes.csv"), "--l", "0.8"]
+        args = ["pq", *args, "--lanes", str(tmp_path / "lanes.csv"), "--l", "0.8"]
     res = runner.invoke(main, [command, *args])
     assert res.exit_code == 2
-    assert "--matrix requires --provider matrix" in res.output
+    assert "base 'p' has no coordinates" in res.output
+    assert "Traceback" not in res.output
 
 
 def test_bad_matrix_entry_exits_2_with_its_row(runner, tmp_path):
@@ -146,8 +142,7 @@ def test_ragged_matrix_error_names_its_file_line(runner, tmp_path):
     (tmp_path / "bases.csv").write_text("base_id\na\nb\n")
     (tmp_path / "matrix.csv").write_text("0,1\n1,0,2\n")
     res = runner.invoke(main, ["validate", "--bases", str(tmp_path / "bases.csv"),
-                               "--matrix", str(tmp_path / "matrix.csv"),
-                               "--provider", "matrix"])
+                               "--matrix", str(tmp_path / "matrix.csv")])
     assert res.exit_code == 2
     assert "matrix.csv row 2 has 3 entries, expected 2" in res.output
 
@@ -157,8 +152,7 @@ def test_matrix_row_count_error_names_both_files(runner, tmp_path, command):
     (tmp_path / "bases.csv").write_text("base_id\na\nb\n")
     (tmp_path / "matrix.csv").write_text("0,1,1\n1,0,1\n1,1,0\n")
     (tmp_path / "lanes.csv").write_text("lane_id,origin_base_id,dest_base_id\nab,a,b\n")
-    args = ["--bases", str(tmp_path / "bases.csv"), "--matrix", str(tmp_path / "matrix.csv"),
-            "--provider", "matrix"]
+    args = ["--bases", str(tmp_path / "bases.csv"), "--matrix", str(tmp_path / "matrix.csv")]
     if command == "match":
         args = ["ab", *args, "--lanes", str(tmp_path / "lanes.csv"), "--l", "0.5"]
     res = runner.invoke(main, [command, *args])
@@ -227,6 +221,26 @@ def test_match_topk_single(runner, tmp_path):
     assert records[0]["ell_star"] == 1.0
 
 
+def test_match_topk_ties_rank_by_lane_ids(runner, tmp_path):
+    """L05 and L07 are the same lane, so their 8/9 triangles tie at the
+    third rank; the smaller (t2, t3) is kept, as in the ranked brute output."""
+    ids = list(LINE_POINTS)
+    (tmp_path / "bases.csv").write_text("base_id\n" + "\n".join(ids) + "\n")
+    (tmp_path / "matrix.csv").write_text("".join(
+        ",".join(str(abs(LINE_POINTS[a] - LINE_POINTS[b])) for b in ids) + "\n" for a in ids))
+    (tmp_path / "lanes.csv").write_text("lane_id,origin_base_id,dest_base_id\n" + "".join(
+        f"{lane},{a},{b}\n" for lane, a, b in LINE_LANES))
+    ranked = {}
+    for flags in (["--k", "3"], ["--algo", "brute"]):
+        res = runner.invoke(main, ["match", "L01", *tri4_args(tmp_path), "--l", "0.75", *flags])
+        assert res.exit_code == 0, res.output
+        records = [json.loads(line) for line in res.stdout.splitlines()]
+        ranked[flags[0]] = [(r["t2"], r["t3"], r["ovr"]) for r in records]
+    want = sorted(ranked["--algo"], key=lambda r: (-r[2], r[0], r[1]))[:3]
+    assert ranked["--k"] == want
+    assert [r[:2] for r in want] == [("L05", "L06"), ("L07", "L06"), ("L05", "L04")]
+
+
 def test_match_unknown_lane_exits_2(runner, tmp_path):
     write_tri4_files(tmp_path)
     res = runner.invoke(main, ["match", "ZZ", *tri4_args(tmp_path), "--l", "0.9"])
@@ -242,7 +256,7 @@ def write_zero_length_files(root: Path):
     (root / "lanes.csv").write_text(
         "lane_id,origin_base_id,dest_base_id\nx,a,b\ny,b,c\nz,c,a\n")
     return ["--bases", str(root / "bases.csv"), "--lanes", str(root / "lanes.csv"),
-            "--matrix", str(root / "matrix.csv"), "--provider", "matrix"]
+            "--matrix", str(root / "matrix.csv")]
 
 
 def test_match_zero_length_lanes_exit_2(runner, tmp_path):
@@ -398,7 +412,7 @@ def test_bench_deterministic_reruns_identically(runner, tmp_path):
         out = tmp_path / name
         res = runner.invoke(main, bench_args(
             tmp_path, "--queries", "6", "--algo", "topk", "--k", "4",
-            "--seed", "11", "--deterministic", "--l", "0.75", "--out", str(out)))
+            "--seed", "11", "--l", "0.75", "--out", str(out)))
         assert res.exit_code == 0, res.output
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         for r in rows:
@@ -420,9 +434,14 @@ def test_bench_negative_queries_exits_2(runner, tmp_path):
     assert "--queries" in res.output and "x>=0" in res.output
 
 
-def test_bench_out_into_missing_directory_exits_2(runner, tmp_path):
+def test_bench_out_into_missing_directory_exits_2(runner, tmp_path, monkeypatch):
     runner.invoke(main, ["gen", "--n-bases", "10", "--n-lanes", "20", "--out", str(tmp_path)])
     out = tmp_path / "missing" / "rows.jsonl"
+
+    def no_batch(*args, **kwargs):
+        raise AssertionError("the batch ran before the unwritable --out was found")
+
+    monkeypatch.setattr(cli, "run_queries", no_batch)
     res = runner.invoke(main, bench_args(tmp_path, "--queries", "2", "--out", str(out)))
     assert res.exit_code == 2
     assert f"cannot write {out}" in res.output

@@ -332,14 +332,13 @@ def test_concurrent_queries_share_a_lazy_index():
     eager_space.distance_matrix()
     eager = build_index(eager.lanes, eager_space)
     queries = [Query(l.id, 0.75, 4.0 * l.dist, k=10) for l in index.lanes[:40]]
-    want = [enumerate_topk(eager, eager_space, q, deterministic=True).triangles
-            for q in queries]
+    want = [enumerate_topk(eager, eager_space, q).triangles for q in queries]
     got: dict[int, list] = {}
 
     def worker(offset: int) -> None:
         for n in range(offset, offset + len(queries)):
             n %= len(queries)
-            got[n] = enumerate_topk(index, space, queries[n], deterministic=True).triangles
+            got[n] = enumerate_topk(index, space, queries[n]).triangles
 
     switching_often(lambda: run_threads(worker, [(5 * t,) for t in range(8)]))
     assert [got[n] for n in range(len(queries))] == want

@@ -17,7 +17,7 @@ DIGESTS = [
      "d4a3c3bd00c0e1c9d826308db0452acb07e9d5b03c89b8fa2475e44549c024e8"),
     (["--k", "5"],
      "abdca055dafdfa49c38740a33c8f1ba482355c3572e36beab6b0b10357883595"),
-    (["--k", "5", "--deterministic", "--format", "csv"],
+    (["--k", "5", "--format", "csv"],
      "7e3f3bd49d1382d50126f82d28a857bfdf28e3e69ea42d027e2b48a77198424f"),
     (["--algo", "brute", "--format", "csv"],
      "0204bcfdebea0549e60742040f4647261d6d99a92fff0b15e616f3ccc50a0487"),

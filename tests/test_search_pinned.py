@@ -6,6 +6,10 @@ also fix the order, the counters and the top-k tie choices, so a restructured
 search loop must reproduce them exactly. On the integer line instance every
 rate is a ratio of small integers, so `5 / 6` is the very float the search
 computes.
+
+The top-k tests keep the [False]/[True] ids of the two tie modes top-k once
+had. Both are now the one rule, ties at the kth rate ranked by (t2, t3), and
+every id must still give its pinned result.
 """
 
 import pytest
@@ -51,27 +55,25 @@ def test_pruned_pinned_on_tied_line(tied_line):
         0.75, (5, 11, 30, 31), ())
 
 
-@pytest.mark.parametrize("deterministic,third", [(False, "L07"), (True, "L05")])
-def test_topk_pinned_on_tied_line(tied_line, deterministic, third):
-    """Without `deterministic` the newest of the tied 8/9 candidates (L07,
-    found after L05) holds the last slot; with it the smaller id does."""
+@pytest.mark.parametrize("mode,third", [(True, "L05")])
+def test_topk_pinned_on_tied_line(tied_line, mode, third):
+    """Of the tied 8/9 candidates the smaller id holds the last slot, though
+    L07 is found after L05."""
     space, index = tied_line
-    rs = enumerate_topk(index, space, Query("L01", 0.75, 36.0, k=3),
-                        deterministic=deterministic)
+    rs = enumerate_topk(index, space, Query("L01", 0.75, 36.0, k=3))
     assert summary(rs) == (
         [("L05", "L06", 17 / 18, 18.0), ("L07", "L06", 17 / 18, 18.0),
          (third, "L04", 8 / 9, 18.0)],
         8 / 9, (2, 2, 9, 13), (5 / 6, 8 / 9))
 
 
-@pytest.mark.parametrize("deterministic", [False, True])
-def test_topk_above_the_result_size_returns_the_ranked_full_set(tied_line, deterministic):
+@pytest.mark.parametrize("mode", [False, True])
+def test_topk_above_the_result_size_returns_the_ranked_full_set(tied_line, mode):
     """With k past the 7 results the heap never fills: the threshold never
     rises, so topk scans what pruned scans and returns all of it ranked by
     (rate desc, t2, t3)."""
     space, index = tied_line
-    rs = enumerate_topk(index, space, Query("L01", 0.75, 36.0, k=10),
-                        deterministic=deterministic)
+    rs = enumerate_topk(index, space, Query("L01", 0.75, 36.0, k=10))
     assert summary(rs) == (
         [("L05", "L06", 17 / 18, 18.0), ("L07", "L06", 17 / 18, 18.0),
          ("L05", "L04", 8 / 9, 18.0), ("L07", "L04", 8 / 9, 18.0),
@@ -97,12 +99,11 @@ def test_pruned_pinned_on_great_circle(great_circle):
     assert rs.stats.ell_trace == ()
 
 
-@pytest.mark.parametrize("deterministic", [False, True])
-def test_topk_pinned_on_great_circle(great_circle, deterministic):
+@pytest.mark.parametrize("mode", [False, True])
+def test_topk_pinned_on_great_circle(great_circle, mode):
     space, index = great_circle
     u = 4.0 * index.by_id["l0092"].dist
-    rs = enumerate_topk(index, space, Query("l0092", 0.8, u, k=5),
-                        deterministic=deterministic)
+    rs = enumerate_topk(index, space, Query("l0092", 0.8, u, k=5))
     assert [(t.t2, t.t3) for t in rs.triangles] == [
         ("l0071", "l0031"), ("l0075", "l0096"), ("l0051", "l0031"), ("l0042", "l0031"),
         ("l0111", "l0031")]
