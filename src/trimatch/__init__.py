@@ -8,8 +8,7 @@ from .metric import (Base, MetricSpace, UnknownBaseError, ValidationReport,
                      load_bases_csv, load_matrix_csv, validate_metric)
 from .search import (Query, ResultSet, SearchStats, Triangle, bound_d2,
                      bound_d3, bound_e1, bound_e2, enumerate_bruteforce,
-                     enumerate_pruned, enumerate_quad, enumerate_topk,
-                     evaluate, is_feasible)
+                     enumerate_pruned, enumerate_topk, evaluate, is_feasible)
 
 __all__ = [
     "Base", "MetricSpace", "UnknownBaseError", "ValidationReport",
@@ -19,7 +18,7 @@ __all__ = [
     "Query", "Triangle", "ResultSet", "SearchStats",
     "evaluate", "is_feasible",
     "bound_e1", "bound_d2", "bound_e2", "bound_d3",
-    "enumerate_bruteforce", "enumerate_quad", "enumerate_pruned", "enumerate_topk",
+    "enumerate_bruteforce", "enumerate_pruned", "enumerate_topk",
     "CoalitionGame", "ShapleySplit", "coalition_game",
     "standalone_cost", "pair_cost", "shapley_split",
 ]

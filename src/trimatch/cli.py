@@ -136,13 +136,15 @@ def _emit_records(records: list[dict], fmt: str, out: str | None,
               help="Directory for bases.csv and lanes.csv.")
 def gen(n_bases, n_lanes, seed, out):
     """Write a seeded synthetic instance (bases.csv + lanes.csv)."""
+    outdir = Path(out)
     try:
         bases, rows = generate_instance(n_bases, n_lanes, seed)
+        outdir.mkdir(parents=True, exist_ok=True)
+        write_instance(bases, rows, outdir / "bases.csv", outdir / "lanes.csv")
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_instance(bases, rows, outdir / "bases.csv", outdir / "lanes.csv")
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc.strerror or exc}") from exc
     click.echo(f"wrote {len(bases)} bases and {len(rows)} lanes to {outdir}")
 
 

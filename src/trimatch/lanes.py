@@ -23,7 +23,7 @@ from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 
-from .metric import MetricSpace, UnknownBaseError
+from .metric import MetricSpace, UnknownBaseError, open_csv
 
 
 class UnknownLaneError(LookupError):
@@ -141,7 +141,6 @@ class LaneIndex:
     by_id          lane id -> lane
     by_start       start base -> lanes leaving it, sorted by (dist, id)
     start_dists    parallel sort keys for by_start, for bisecting
-    starts         bases with at least one outgoing lane
     neighbors      every base -> [(start base, distance)] sorted by (distance, id);
                    `within(b, radius)` gives the row up to at least `radius`
     """
@@ -150,7 +149,6 @@ class LaneIndex:
     by_id: dict[str, Lane]
     by_start: dict[str, list[Lane]]
     start_dists: dict[str, list[float]]
-    starts: frozenset[str]
     neighbors: _NeighborRows
 
 
@@ -174,9 +172,8 @@ def build_index(lanes, space: MetricSpace) -> LaneIndex:
     for group in by_start.values():
         group.sort(key=lambda l: (l.dist, l.id))
     start_dists = {s: [l.dist for l in group] for s, group in by_start.items()}
-    starts = frozenset(by_start)
 
-    start_ids = sorted(starts)
+    start_ids = sorted(by_start)
     start_pos = [space.index_of(s) for s in start_ids]
     rows: dict[str, tuple[float, list[tuple[str, float]]]] = {}
     if space._dcache is not None:  # the distances are paid for: sort every row now
@@ -191,7 +188,6 @@ def build_index(lanes, space: MetricSpace) -> LaneIndex:
         by_id=by_id,
         by_start=by_start,
         start_dists=start_dists,
-        starts=starts,
         neighbors=_NeighborRows(space, start_ids, start_pos, rows),
     )
 
@@ -228,8 +224,7 @@ def load_lanes_csv(path: str | Path, space: MetricSpace) -> list[Lane]:
     problems: list[str] = []
     lanes: list[Lane] = []
     seen: set[str] = set()
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open_csv(path, csv.DictReader) as reader:
         required = {"lane_id", "origin_base_id", "dest_base_id"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"{path}: header must contain {sorted(required)}")

@@ -12,12 +12,24 @@ import csv
 import math
 import random
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 EARTH_RADIUS_KM = 6371.0088
 _DEG = math.pi / 180.0  # x * _DEG is exactly math.radians(x)
+
+# Relative tolerance for rounding in sums of distances. The search's bounds and
+# triangle-inequality exits are exact in real arithmetic, but the float test
+# `ovr >= ell and total <= u` can pass a triangle a rounding error outside them,
+# and great-circle floats break d(a, c) <= d(a, b) + d(b, c) by an ulp on
+# collinear points. So the search widens each of them by BOUND_SLACK * u, a
+# lane-length lower bound (which scales rate errors by 1 / (1 - ell)) by
+# BOUND_SLACK * u / (1 - ell), and `validate_metric` flags only an excess over
+# BOUND_SLACK * d(a, c). That is far above the few-ulp errors, and harmless,
+# since the inclusive final test still decides.
+BOUND_SLACK = 1e-9
 
 
 class UnknownBaseError(LookupError):
@@ -269,9 +281,9 @@ def validate_metric(space: MetricSpace, samples: int = 1000, seed: int = 0) -> V
     """Check the metric axioms and report every violation found.
 
     Identity is checked for every base. Symmetry is exhaustive up to 1000
-    bases, sampled beyond that. The triangle inequality is checked on
-    `samples` random ordered triples. Violations are report content, never
-    exceptions.
+    bases, sampled beyond that. The triangle inequality is checked, up to
+    BOUND_SLACK, on `samples` random ordered triples. Violations are report
+    content, never exceptions.
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
@@ -312,17 +324,29 @@ def validate_metric(space: MetricSpace, samples: int = 1000, seed: int = 0) -> V
             dac = space._pair(a, c)
             dab = space._pair(a, b)
             dbc = space._pair(b, c)
-            if dac > dab + dbc:
+            if dac > dab + dbc + BOUND_SLACK * dac:
                 add("triangle", (ids[a], ids[c]),
                     f"d(a,c) = {dac!r} > {dab!r} + {dbc!r} via {ids[b]}")
     return report
 
 
+@contextmanager
+def open_csv(path: Path, reader=csv.reader):
+    """`reader` over the file at `path`. A line the csv module cannot parse (a
+    field over its size limit, say) raises ValueError naming the file line."""
+    with path.open(newline="") as fh:
+        rows = reader(fh)
+        try:
+            yield rows
+        except csv.Error as exc:  # a DictReader's own line_num lags its reader's
+            line = getattr(rows, "reader", rows).line_num
+            raise ValueError(f"{path} line {line}: {exc}") from None
+
+
 def load_bases_csv(path: str | Path) -> list[Base]:
     """Read bases.csv: header `base_id,lat,lon`, or `base_id` alone for matrix mode."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open_csv(path, csv.DictReader) as reader:
         if reader.fieldnames is None or "base_id" not in reader.fieldnames:
             raise ValueError(f"{path}: missing base_id header")
         has_coords = "lat" in reader.fieldnames and "lon" in reader.fieldnames
@@ -350,8 +374,8 @@ def load_matrix_csv(path: str | Path) -> list[list[float]]:
     file line; a bad distance is one that is not a finite number >= 0."""
     path = Path(path)
     rows: list[tuple[int, list[float]]] = []
-    with path.open(newline="") as fh:
-        for rownum, row in enumerate(csv.reader(fh), start=1):
+    with open_csv(path) as reader:
+        for rownum, row in enumerate(reader, start=1):
             values = []
             for v in row:
                 try:

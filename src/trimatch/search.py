@@ -3,13 +3,13 @@
 Given a client lane t1, a triangle (t1, t2, t3) chains three loaded legs with
 three empty legs and closes back at t1's start. A triangle is kept when its
 occupied vehicle rate (loaded km / total km) reaches `ell` and its total
-mileage stays within `u`. Four backends produce the same set:
+mileage stays within `u`. Three backends produce the same set:
 
-  brute    double loop over all lane pairs; the reference the others are
-           checked against
-  quad     the same search restructured as four loops over start bases and
-           their lanes; no pruning
-  pruned   quad plus distance-derived bounds that cut each loop to a sorted
+  brute    double loop over all lane pairs, unpruned; the reference the
+           others are checked against
+  pruned   four loops over start bases and their lanes (the first empty
+           leg's start, the second lane, the second empty leg's start, the
+           third lane), each cut by distance-derived bounds to a sorted
            prefix / range
   topk     the same bounded search keeping a size-k min-heap; the
            feasibility threshold rises to the provisional kth-best rate as
@@ -18,8 +18,7 @@ mileage stays within `u`. Four backends produce the same set:
 
 pruned and topk are one bounded kernel, `_bounded_search`, with different
 result sinks: pruned collects every triangle, topk keeps the k best and feeds
-the rising threshold back into the bounds. quad stays a separate, unpruned
-loop: it walks start bases in id order, not by distance.
+the rising threshold back into the bounds.
 
 All backends compute the rate and mileage with one shared expression
 ordering, so feasibility decisions agree bit-for-bit across them. The bounded
@@ -38,7 +37,7 @@ from operator import attrgetter
 from time import perf_counter
 
 from .lanes import Lane, LaneIndex, UnknownLaneError
-from .metric import MetricSpace
+from .metric import BOUND_SLACK, MetricSpace
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,9 @@ class Triangle:
 class SearchStats:
     """Loop-trip counters: level_visits[i] = bodies entered at loop level i,
     counted after the set exclusions but before any early-continue test.
-    The brute backend reports its counts in closed form ((n-1), (n-1)(n-2))."""
+    Unpruned, with n lanes and |S| start bases, brute visits (n-1, (n-1)(n-2))
+    and the four bounded levels would visit (|S|, n-1, (n-1)|S|, (n-1)(n-2)),
+    the most pruned and topk can visit at each level."""
 
     level_visits: tuple[int, ...]
     seconds: float
@@ -117,14 +118,6 @@ def evaluate(t1: Lane, t2: Lane, t3: Lane, space: MetricSpace) -> Triangle:
 def is_feasible(tr: Triangle, ell: float, u: float) -> bool:
     """Both cutoffs are inclusive."""
     return tr.ovr >= ell and tr.total <= u
-
-
-# The bounds are exact in real arithmetic, but the float test `ovr >= ell and
-# total <= u` can pass a triangle a rounding error outside them. Each bound is
-# widened by BOUND_SLACK * u, a lane-length lower bound (which scales rate errors
-# by 1 / (1 - ell)) by BOUND_SLACK * u / (1 - ell): far above the few-ulp errors,
-# and harmless, since the inclusive final test still decides.
-BOUND_SLACK = 1e-9
 
 
 def bound_e1(ell: float, u: float, d1: float) -> float:
@@ -216,51 +209,6 @@ def enumerate_bruteforce(index: LaneIndex, space: MetricSpace, query: Query) -> 
     return ResultSet(tris, query.ell, stats)
 
 
-def enumerate_quad(index: LaneIndex, space: MetricSpace, query: Query) -> ResultSet:
-    """Same search as brute force, regrouped by start base. No pruning."""
-    started = perf_counter()
-    t1 = _client_lane(index, query.t1)
-    ell, u = query.ell, query.u
-    d1 = t1.dist
-    mat = space.distance_matrix()
-    opos = space.index_of(t1.start)
-    to_origin = {b: mat[i][opos] for i, b in enumerate(space.base_ids)}
-    row1 = mat[space.index_of(t1.end)]
-    start_list = [(s, space.index_of(s)) for s in sorted(index.starts)]
-
-    tris: list[Triangle] = []
-    v1 = v2 = v3 = v4 = 0
-    for s, sp in start_list:
-        v1 += 1
-        e1 = row1[sp]
-        for t2 in index.by_start[s]:
-            if t2.id == t1.id:
-                continue
-            v2 += 1
-            d2 = t2.dist
-            num2 = d1 + d2
-            row2 = mat[space.index_of(t2.end)]
-            for s2, sp2 in start_list:
-                v3 += 1
-                e2 = row2[sp2]
-                for t3 in index.by_start[s2]:
-                    if t3.id == t1.id or t3.id == t2.id:
-                        continue
-                    v4 += 1
-                    d3 = t3.dist
-                    e3 = to_origin[t3.end]
-                    total = d1 + e1 + d2 + e2 + d3 + e3
-                    if total <= u:
-                        ovr = (num2 + d3) / total
-                        if ovr >= ell:
-                            tris.append(Triangle(t1.id, t2.id, t3.id, d1, d2, d3,
-                                                 e1, e2, e3, ovr, total))
-
-    visits = (v1, v2, v3, v4)
-    stats = SearchStats(visits, perf_counter() - started)
-    return ResultSet(tris, query.ell, stats)
-
-
 def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
                     u: float, accept: Callable[[Triangle], float]) -> tuple[int, ...]:
     """The four bounded loops behind `pruned` and `topk`; returns level_visits.
@@ -282,6 +230,7 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
     by_start = index.by_start
     start_dists = index.start_dists
     slack = BOUND_SLACK * u
+    cap = u + slack  # the exits' triangle inequality holds only up to rounding
 
     v1 = v2 = v3 = v4 = 0
     b1 = bound_e1(ell, u, d1)
@@ -291,7 +240,7 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
             break
         v1 += 1
         a1 = d1 + e1
-        if u < a1 + to_origin[s]:
+        if cap < a1 + to_origin[s]:
             continue
         lb2, ub2 = bound_d2(ell, u, d1, e1)
         group = by_start[s]
@@ -304,7 +253,7 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
                 continue
             v2 += 1
             a2 = a1 + d2
-            if u < a2 + to_origin[t2.end]:
+            if cap < a2 + to_origin[t2.end]:
                 continue
             num2 = d1 + d2
             b3 = bound_e2(ell, u, d1, e1, d2)
@@ -313,7 +262,7 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
                     break
                 v3 += 1
                 a3 = a2 + e2
-                if u < a3 + to_origin[s2]:
+                if cap < a3 + to_origin[s2]:
                     continue
                 ub4 = u - a3 + slack
                 dists2 = start_dists[s2]
@@ -408,5 +357,5 @@ def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query) -> Result
 
 # name -> backend for the CLI and the bench harness; each takes (index, space,
 # query)
-BACKENDS = {"brute": enumerate_bruteforce, "quad": enumerate_quad,
-            "pruned": enumerate_pruned, "topk": enumerate_topk}
+BACKENDS = {"brute": enumerate_bruteforce, "pruned": enumerate_pruned,
+            "topk": enumerate_topk}

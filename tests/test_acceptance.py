@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from trimatch import (Base, Query, bound_d2, bound_d3, bound_e1, bound_e2,
                       build_index, enumerate_bruteforce, enumerate_pruned,
-                      enumerate_quad, enumerate_topk, evaluate, make_lane,
-                      shapley_split, validate_metric)
+                      enumerate_topk, evaluate, make_lane, shapley_split,
+                      validate_metric)
 from trimatch.bench import run_queries
 from trimatch.generate import generate_instance
 from trimatch.metric import MetricSpace
@@ -75,7 +75,7 @@ def medium_instance():
 
 
 def test_oracle_equivalence(small_world):
-    with criterion("oracle equivalence (algorithms 1/2/3 set-equal)"):
+    with criterion("oracle equivalence (pruned set-equal to brute force)"):
         instances, _ = small_world
         compared = 0
         for i, (space, index, lanes) in enumerate(instances):
@@ -84,12 +84,10 @@ def test_oracle_equivalence(small_world):
                 for ell in ELLS:
                     brute = oracle(small_world, i, lane, ell)
                     q = Query(lane, ell, u)
-                    quad = enumerate_quad(index, space, q)
                     pruned = enumerate_pruned(index, space, q)
-                    assert keyset(quad) == keyset(brute)
                     assert keyset(pruned) == keyset(brute)
                     ref = {(t.t2, t.t3): t for t in brute.triangles}
-                    for t in quad.triangles + pruned.triangles:
+                    for t in pruned.triangles:
                         other = ref[(t.t2, t.t3)]
                         assert t.ovr == other.ovr and t.total == other.total
                     compared += 1

@@ -61,8 +61,8 @@ def test_aggregates_recomputable_from_rows():
 def test_row_serialization_keeps_counters():
     space, index = gc_instance(15, 40, seed=58)
     rows = run_queries(index, space, sample_query_lanes(index, 2, seed=4),
-                       ["quad"], [0.8])
+                       ["pruned"], [0.8])
     d = row_to_dict(rows[0])
-    assert d["algo"] == "quad"
+    assert d["algo"] == "pruned"
     assert d["candidates"] == sum(d["level_visits"])
     assert len(d["level_visits"]) == 4

@@ -84,6 +84,15 @@ def test_gen_negative_lane_count_exits_2(runner, tmp_path):
     assert not (tmp_path / "lanes.csv").exists()
 
 
+def test_gen_out_it_cannot_create_exits_2(runner, tmp_path):
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "sub"
+    res = runner.invoke(main, ["gen", "--n-bases", "5", "--out", str(out)])
+    assert res.exit_code == 2
+    assert f"cannot write {out}" in res.output
+    assert "Traceback" not in res.output
+
+
 # --- validate ----------------------------------------------------------------
 
 def test_validate_clean_great_circle(runner, tmp_path):
@@ -104,6 +113,15 @@ def test_validate_asymmetric_matrix_exits_3(runner, tmp_path):
     assert "symmetry" in res.output
     res = runner.invoke(main, args + ["--force"])
     assert res.exit_code == 0
+
+
+def test_validate_accepts_collinear_great_circle_bases(runner, tmp_path):
+    rows = [f"b{i:02d},0.0,{130 + 1.25 * i!r}" for i in range(12)]
+    (tmp_path / "bases.csv").write_text("base_id,lat,lon\n" + "\n".join(rows) + "\n")
+    res = runner.invoke(main, ["validate", "--bases", str(tmp_path / "bases.csv"),
+                               "--samples", "2000"])
+    assert res.exit_code == 0, res.output
+    assert "triangle=2000 violations=0" in res.output
 
 
 def test_validate_negative_samples_exits_2(runner, tmp_path):
@@ -177,6 +195,24 @@ def test_header_only_bases_exit_2(runner, tmp_path, command):
     assert "validation passed" not in res.output
 
 
+@pytest.mark.parametrize("command,name,line,code", [
+    ("validate", "bases.csv", 6, 2),
+    ("validate", "lanes.csv", 6, 3),  # validate reports every lanes.csv fault with exit 3
+    ("match", "lanes.csv", 6, 2),
+    ("validate", "matrix.csv", 5, 2),
+], ids=["validate-bases", "validate-lanes", "match-lanes", "validate-matrix"])
+def test_csv_field_over_the_size_limit_is_an_input_error(runner, tmp_path, command,
+                                                         name, line, code):
+    write_tri4_files(tmp_path)
+    path = tmp_path / name
+    path.write_text(path.read_text() + "x" * 200_000 + ",A,B\n")  # csv allows 131,072
+    args = ["AB", *tri4_args(tmp_path), "--l", "0.9"] if command == "match" else tri4_args(tmp_path)
+    res = runner.invoke(main, [command, *args])
+    assert res.exit_code == code
+    assert f"{name} line {line}: field larger than field limit" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_validate_reports_lane_row_numbers(runner, tmp_path):
     runner.invoke(main, ["gen", "--n-bases", "5", "--n-lanes", "6", "--out", str(tmp_path)])
     lanes = tmp_path / "lanes.csv"
@@ -199,7 +235,7 @@ def test_match_pruned_on_tri4(runner, tmp_path):
     assert {(r["t2"], r["t3"]) for r in records} == {("BC", "CA"), ("BC", "CD")}
 
 
-@pytest.mark.parametrize("algo", ["brute", "quad", "pruned"])
+@pytest.mark.parametrize("algo", ["brute", "pruned"])
 def test_match_every_backend_prints_the_same_set(runner, tmp_path, algo):
     write_tri4_files(tmp_path)
     res = runner.invoke(main, ["match", "AB", *tri4_args(tmp_path), "--l", "0.9",
@@ -208,6 +244,14 @@ def test_match_every_backend_prints_the_same_set(runner, tmp_path, algo):
     assert f"algo={algo}" in res.output
     records = [json.loads(line) for line in res.output.splitlines() if line.startswith("{")]
     assert {(r["t2"], r["t3"]) for r in records} == {("BC", "CA"), ("BC", "CD")}
+
+
+def test_match_algo_quad_exits_2(runner, tmp_path):
+    write_tri4_files(tmp_path)
+    res = runner.invoke(main, ["match", "AB", *tri4_args(tmp_path), "--l", "0.9",
+                               "--algo", "quad"])
+    assert res.exit_code == 2
+    assert "'quad' is not one of 'brute', 'pruned', 'topk'" in res.output
 
 
 def test_match_topk_single(runner, tmp_path):

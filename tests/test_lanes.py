@@ -47,7 +47,7 @@ def test_distance_ties_break_by_lane_id():
 def test_empty_lane_set():
     space = line_space({"A": 0.0, "B": 1.0})
     index = build_index([], space)
-    assert index.starts == frozenset()
+    assert index.by_start == {}
     assert index.neighbors["A"] == [] and index.neighbors["B"] == []
 
 
@@ -56,7 +56,7 @@ def test_neighbor_lists_cover_every_base():
     assert set(index.neighbors) == set(space.base_ids)
     for b in space.base_ids:
         entries = index.neighbors[b]
-        assert {s for s, _ in entries} == set(index.starts)
+        assert {s for s, _ in entries} == set(index.by_start)
         dists = [d for _, d in entries]
         assert dists == sorted(dists)
 
@@ -127,7 +127,7 @@ def test_neighbors_within_line_example():
 
 def test_neighbors_within_zero_and_unbounded():
     space, index = gc_instance(20, 50, seed=1)
-    some_start = next(iter(sorted(index.starts)))
+    some_start = next(iter(sorted(index.by_start)))
     at_zero = neighbors_within(index, some_start, 0.0)
     assert (some_start, 0.0) in at_zero
     assert neighbors_within(index, some_start, math.inf) == index.neighbors[some_start]
@@ -236,7 +236,7 @@ def test_a_row_within_a_small_radius_computes_few_distances(monkeypatch):
     b = space.base_ids[0]
     row = index.neighbors.within(b, 100.0)
     assert row == neighbors_within(index, b, 100.0)
-    assert len(asked) == 1 and 0 < asked[0] < len(index.starts) // 10
+    assert len(asked) == 1 and 0 < asked[0] < len(index.by_start) // 10
     assert rows_built(space, index) == (0, 1)
 
 
@@ -257,7 +257,7 @@ def test_lanes_in_range_binary_search_positions():
 
 def test_lanes_in_range_full_interval_equals_group():
     space, index = gc_instance(25, 80, seed=13)
-    for s in index.starts:
+    for s in index.by_start:
         assert lanes_in_range(index, s, 0.0, math.inf) == index.by_start[s]
 
 

@@ -193,6 +193,18 @@ def test_validate_flags_triangle_violation():
     assert "via 1" in triangle[0].detail
 
 
+def test_validate_allows_rounding_on_collinear_great_circle_bases():
+    # on the equator d(a,c) exceeds d(a,b) + d(b,c) by an ulp for some triples
+    space = MetricSpace.great_circle([Base(f"b{i:02d}", 0.0, 130 + 1.25 * i) for i in range(12)])
+    report = validate_metric(space, samples=2000, seed=0)
+    assert report.ok, report.summary()
+    assert report.triangle_checks == 2000
+    # the tolerance is relative and tiny: a 1e-4 excess is still a violation
+    matrix = [[0.0, 1.0, 2.0002], [1.0, 0.0, 1.0], [2.0002, 1.0, 0.0]]
+    space = MetricSpace.from_matrix([Base("0"), Base("1"), Base("2")], matrix)
+    assert not validate_metric(space, samples=200, seed=0).ok
+
+
 def test_validate_flags_nonzero_diagonal():
     space = MetricSpace.from_matrix([Base("0"), Base("1")], [[0.5, 1.0], [1.0, 0.0]])
     report = validate_metric(space, samples=10, seed=0)

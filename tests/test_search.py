@@ -5,7 +5,7 @@ import pytest
 
 from trimatch import (Base, MetricSpace, Query, UnknownLaneError, bound_d2, bound_d3,
                       bound_e1, bound_e2, build_index, enumerate_bruteforce,
-                      enumerate_pruned, enumerate_quad, enumerate_topk,
+                      enumerate_pruned, enumerate_topk,
                       evaluate, is_feasible, make_lane, validate_metric)
 from trimatch.search import BOUND_SLACK
 
@@ -169,22 +169,17 @@ def test_bruteforce_single_lane_has_no_partners():
 
 def test_unknown_client_lane():
     space, index = gc_instance(10, 25, seed=2)
-    for fn in (enumerate_bruteforce, enumerate_quad, enumerate_pruned):
+    for fn in (enumerate_bruteforce, enumerate_pruned):
         with pytest.raises(UnknownLaneError, match="ghost"):
             fn(index, space, Query("ghost", 0.9, 100.0))
     with pytest.raises(UnknownLaneError, match="ghost"):
         enumerate_topk(index, space, Query("ghost", 0.9, 100.0, k=3))
 
 
-def test_quad_matches_bruteforce_and_counts_loop_trips(tri4_instance):
+def test_bruteforce_matches_worked_example_and_counts_loop_trips(tri4_instance):
     space, index = tri4_instance
-    q = Query("AB", 0.9, 40.0)
-    brute = enumerate_bruteforce(index, space, q)
-    quad = enumerate_quad(index, space, q)
-    assert keyset(quad) == keyset(brute)
-    # |S|=3; T(A)\{AB} empty, T(B)={BC}, T(C)={CD,CA}; worked out by hand
-    assert quad.stats.level_visits == (3, 3, 9, 6)
-    assert quad.stats.candidates == 21
+    brute = enumerate_bruteforce(index, space, Query("AB", 0.9, 40.0))
+    assert keyset(brute) == {("BC", "CA"), ("BC", "CD")}
     assert brute.stats.level_visits == (3, 6)
 
 
@@ -196,9 +191,7 @@ def test_pruned_equals_oracle_on_random_instances(n_bases, n_lanes, seed, ell):
         u = 4.0 * index.by_id[lane_id].dist
         q = Query(lane_id, ell, u)
         brute = enumerate_bruteforce(index, space, q)
-        quad = enumerate_quad(index, space, q)
         pruned = enumerate_pruned(index, space, q)
-        assert keyset(quad) == keyset(brute)
         assert keyset(pruned) == keyset(brute)
         brute_map = {(t.t2, t.t3): t for t in brute.triangles}
         for t in pruned.triangles:
@@ -206,14 +199,33 @@ def test_pruned_equals_oracle_on_random_instances(n_bases, n_lanes, seed, ell):
             assert t.ovr == ref.ovr and t.total == ref.total  # bit-identical
 
 
-def test_pruned_never_visits_more_than_quad():
+def test_pruned_never_visits_more_than_unpruned_loops():
     space, index = gc_instance(35, 120, seed=8)
+    n, starts = len(index.lanes), len(index.by_start)
+    unpruned = (starts, n - 1, (n - 1) * starts, (n - 1) * (n - 2))  # SearchStats
     for lane_id in pick_lanes(index, 4, seed=3):
         q = Query(lane_id, 0.8, 4.0 * index.by_id[lane_id].dist)
-        quad = enumerate_quad(index, space, q)
         pruned = enumerate_pruned(index, space, q)
-        for pv, qv in zip(pruned.stats.level_visits, quad.stats.level_visits):
+        for pv, qv in zip(pruned.stats.level_visits, unpruned, strict=True):
             assert pv <= qv
+
+
+def test_pruned_keeps_every_triangle_at_its_own_rate_and_total_on_collinear_bases():
+    """On the equator the great-circle floats break the triangle inequality by
+    an ulp, so the early exits must allow for rounding: re-queried at its own
+    rate and total, every brute-force triangle of l00 must still be found."""
+    rng = random.Random(0)
+    space = MetricSpace.great_circle(
+        [Base(f"b{i:02d}", 0.0, rng.uniform(130, 145)) for i in range(12)])
+    pairs = [(a, b) for a in space.base_ids for b in space.base_ids if a != b]
+    index = build_index([make_lane(f"l{i:02d}", a, b, space)
+                         for i, (a, b) in enumerate(rng.sample(pairs, 30))], space)
+    every = enumerate_bruteforce(index, space, Query("l00", 0.01, 1e6)).triangles
+    assert len(every) == 29 * 28
+    for t in every:
+        q = Query("l00", t.ovr, t.total)
+        assert keyset(enumerate_pruned(index, space, q)) == \
+               keyset(enumerate_bruteforce(index, space, q)), (t.t2, t.t3)
 
 
 def test_pruned_full_rate_scans_only_zero_distance_prefix(tri4_instance):
@@ -228,7 +240,7 @@ def test_every_emitted_triangle_is_feasible():
     space, index = gc_instance(40, 140, seed=17)
     for lane_id in pick_lanes(index, 3, seed=4):
         q = Query(lane_id, 0.8, 4.0 * index.by_id[lane_id].dist)
-        for fn in (enumerate_bruteforce, enumerate_quad, enumerate_pruned):
+        for fn in (enumerate_bruteforce, enumerate_pruned):
             for t in fn(index, space, q).triangles:
                 assert is_feasible(t, q.ell, q.u)
 
@@ -328,7 +340,7 @@ def test_stats_candidates_totals_level_visits():
     space, index = gc_instance(25, 80, seed=18)
     lane_id = pick_lanes(index, 1, seed=19)[0]
     q = Query(lane_id, 0.8, 4.0 * index.by_id[lane_id].dist)
-    for fn in (enumerate_bruteforce, enumerate_quad, enumerate_pruned):
+    for fn in (enumerate_bruteforce, enumerate_pruned):
         stats = fn(index, space, q).stats
         assert stats.candidates == sum(stats.level_visits)
 
