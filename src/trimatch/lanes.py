@@ -20,7 +20,7 @@ from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .metric import MetricSpace, UnknownBaseError, open_csv
@@ -140,7 +140,6 @@ class LaneIndex:
     lanes          all lanes, sorted by id
     by_id          lane id -> lane
     by_start       start base -> lanes leaving it, sorted by (dist, id)
-    start_dists    parallel sort keys for by_start, for bisecting
     neighbors      every base -> [(start base, distance)] sorted by (distance, id);
                    `within(b, radius)` gives the row up to at least `radius`
     """
@@ -148,7 +147,6 @@ class LaneIndex:
     lanes: tuple[Lane, ...]
     by_id: dict[str, Lane]
     by_start: dict[str, list[Lane]]
-    start_dists: dict[str, list[float]]
     neighbors: _NeighborRows
 
 
@@ -169,9 +167,8 @@ def build_index(lanes, space: MetricSpace) -> LaneIndex:
     by_start: dict[str, list[Lane]] = {}
     for ln in ordered:
         by_start.setdefault(ln.start, []).append(ln)
-    for group in by_start.values():
-        group.sort(key=lambda l: (l.dist, l.id))
-    start_dists = {s: [l.dist for l in group] for s, group in by_start.items()}
+    for group in by_start.values():  # stable over lanes in id order: ties stay in id order
+        group.sort(key=attrgetter("dist"))
 
     start_ids = sorted(by_start)
     start_pos = [space.index_of(s) for s in start_ids]
@@ -187,7 +184,6 @@ def build_index(lanes, space: MetricSpace) -> LaneIndex:
         lanes=ordered,
         by_id=by_id,
         by_start=by_start,
-        start_dists=start_dists,
         neighbors=_NeighborRows(space, start_ids, start_pos, rows),
     )
 
@@ -208,10 +204,8 @@ def lanes_in_range(index: LaneIndex, s: str, lb: float, ub: float) -> list[Lane]
     group = index.by_start.get(s)
     if not group:
         return []
-    keys = index.start_dists[s]
-    lo = bisect_left(keys, lb)
-    hi = bisect_right(keys, ub)
-    return group[lo:hi]
+    by_dist = attrgetter("dist")
+    return group[bisect_left(group, lb, key=by_dist):bisect_right(group, ub, key=by_dist)]
 
 
 def load_lanes_csv(path: str | Path, space: MetricSpace) -> list[Lane]:

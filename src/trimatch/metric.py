@@ -136,8 +136,8 @@ class MetricSpace:
     def distance_matrix(self) -> list[list[float]]:
         """All-pairs distances, built once and cached.
 
-        O(|B|^2) memory; the per-base neighbor lists need every pair anyway,
-        so index construction amortizes this. A great-circle space evaluates
+        O(|B|^2) memory, so only brute force and callers that want every
+        neighbor row sorted up front build it. A great-circle space evaluates
         each unordered pair once and stores that one float object at both
         (a, b) and (b, a).
         """
@@ -184,12 +184,8 @@ class MetricSpace:
         reach = _lat_reach_deg(radius)
         band = entries[bisect_left(lats, lat - reach):bisect_right(lats, lat + reach)]
         span = _lon_reach_deg(radius, lat, reach)
-        if span < 180.0:
-            lo, hi = lon - span, lon + span
-            if -180.0 <= lo and hi <= 180.0:
-                band = [e for e in band if lo <= e[1][1] <= hi]
-            else:  # the span crosses the antimeridian
-                band = [e for e in band if abs((e[1][1] - lon + 180.0) % 360.0 - 180.0) <= span]
+        if span < 180.0:  # the short way round, so a span may cross the antimeridian
+            band = [e for e in band if abs((e[1][1] - lon + 180.0) % 360.0 - 180.0) <= span]
         dists = _great_circle_row(origin, [p for _, p in band])
         return sorted((d, i) for (i, _), d in zip(band, dists) if d <= radius)
 
@@ -351,16 +347,24 @@ def load_bases_csv(path: str | Path) -> list[Base]:
             raise ValueError(f"{path}: missing base_id header")
         has_coords = "lat" in reader.fieldnames and "lon" in reader.fieldnames
         bases: list[Base] = []
+        seen: set[str] = set()
         for rownum, row in enumerate(reader, start=2):
             bid = (row["base_id"] or "").strip()
             if not bid:
                 raise ValueError(f"{path} row {rownum}: empty base_id")
+            if bid in seen:
+                raise ValueError(f"{path} row {rownum}: duplicate base id {bid!r}")
+            seen.add(bid)
             if has_coords:
                 try:
                     lat = float(row["lat"])
                     lon = float(row["lon"])
                 except (TypeError, ValueError):
                     raise ValueError(f"{path} row {rownum}: bad coordinates") from None
+                if not -90.0 <= lat <= 90.0:
+                    raise ValueError(f"{path} row {rownum}: lat {lat} outside [-90, 90]")
+                if not -180.0 <= lon <= 180.0:
+                    raise ValueError(f"{path} row {rownum}: lon {lon} outside [-180, 180]")
                 bases.append(Base(bid, lat, lon))
             else:
                 bases.append(Base(bid))

@@ -52,8 +52,8 @@ class Query:
     def __post_init__(self):
         if not 0.0 < self.ell <= 1.0:
             raise ValueError(f"ell must be in (0, 1], got {self.ell}")
-        if not self.u > 0.0:
-            raise ValueError(f"u must be positive, got {self.u}")
+        if not 0.0 < self.u < math.inf:  # the bounds take inf * (1 - ell), NaN at ell 1
+            raise ValueError(f"u must be positive and finite, got {self.u}")
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
@@ -228,7 +228,7 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
     to_origin = dict(zip(space.base_ids, space.distances_to(t1.start)))
     near = index.neighbors.within
     by_start = index.by_start
-    start_dists = index.start_dists
+    by_dist = attrgetter("dist")
     slack = BOUND_SLACK * u
     cap = u + slack  # the exits' triangle inequality holds only up to rounding
 
@@ -244,7 +244,7 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
             continue
         lb2, ub2 = bound_d2(ell, u, d1, e1)
         group = by_start[s]
-        for t2 in group[bisect_left(start_dists[s], lb2):]:
+        for t2 in group[bisect_left(group, lb2, key=by_dist):]:
             d2 = t2.dist
             if d2 > ub2:
                 break
@@ -265,11 +265,11 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
                 if cap < a3 + to_origin[s2]:
                     continue
                 ub4 = u - a3 + slack
-                dists2 = start_dists[s2]
-                if dists2[0] > ub4:
+                group2 = by_start[s2]
+                if group2[0].dist > ub4:
                     continue
                 lb4 = ratio * (e1 + e2) - num2 - lslack
-                group2 = by_start[s2] if lb4 <= 0.0 else by_start[s2][bisect_left(dists2, lb4):]
+                group2 = group2 if lb4 <= 0.0 else group2[bisect_left(group2, lb4, key=by_dist):]
                 for t3 in group2:
                     d3 = t3.dist
                     if d3 > ub4:
@@ -325,9 +325,9 @@ def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query) -> Result
 
     Heap entries are (ovr, tie, tri) tuples with tie = (t2, t3) reversed, so
     heap[0] is the worst: the lowest rate, and among equal rates the largest
-    (t2, t3). Ties are unique, so `tri` is never compared, and the survivors
-    are the top-k prefix of the full result ordered by (rate desc, t2, t3),
-    whatever order the search finds them in.
+    (t2, t3). Ties are unique, so `tri` is never compared, and the entries
+    sorted in reverse are the top-k prefix of the full result ordered by
+    (rate desc, t2, t3), whatever order the search finds them in.
     """
     if query.k is None:
         raise ValueError("top-k search needs query.k")
@@ -351,7 +351,7 @@ def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query) -> Result
         return ell
 
     visits = _bounded_search(index, space, t1, ell, query.u, keep_best)
-    tris = sorted((tri for _, _, tri in heap), key=lambda t: (-t.ovr, t.t2, t.t3))
+    tris = [tri for _, _, tri in sorted(heap, reverse=True)]
     return ResultSet(tris, ell, SearchStats(visits, perf_counter() - started, tuple(trace)))
 
 

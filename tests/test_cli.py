@@ -195,6 +195,18 @@ def test_header_only_bases_exit_2(runner, tmp_path, command):
     assert "validation passed" not in res.output
 
 
+@pytest.mark.parametrize("rows,message", [
+    ("a,35,135\nb,36,135\na,37,135\n", "bases.csv row 4: duplicate base id 'a'"),
+    ("a,35,135\nb,95,135\n", "bases.csv row 3: lat 95.0 outside [-90, 90]"),
+    ("a,35,135\nb,36,190\n", "bases.csv row 3: lon 190.0 outside [-180, 180]"),
+], ids=["duplicate", "lat", "lon"])
+def test_bad_bases_rows_exit_2_naming_the_file_row(runner, tmp_path, rows, message):
+    (tmp_path / "bases.csv").write_text("base_id,lat,lon\n" + rows)
+    res = runner.invoke(main, ["validate", "--bases", str(tmp_path / "bases.csv")])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
 @pytest.mark.parametrize("command,name,line,code", [
     ("validate", "bases.csv", 6, 2),
     ("validate", "lanes.csv", 6, 3),  # validate reports every lanes.csv fault with exit 3
@@ -498,6 +510,31 @@ def test_bench_conflicting_u_modes_exits_2(runner, tmp_path):
                                          "--u-km", "100", "--u-factor", "2"))
     assert res.exit_code == 2
     assert "--u-km and --u-factor are mutually exclusive" in res.output
+
+
+def write_unit_triangle_files(root: Path):
+    """Great-circle bases a, b, c, d with lanes ab, bc, ca (a loop with no
+    empty leg, rate 1) and ad."""
+    (root / "bases.csv").write_text(
+        "base_id,lat,lon\na,35,135\nb,35.5,135.5\nc,36,135\nd,35,136\n")
+    (root / "lanes.csv").write_text(
+        "lane_id,origin_base_id,dest_base_id\nab,a,b\nbc,b,c\nca,c,a\nad,a,d\n")
+
+
+@pytest.mark.parametrize("call", [
+    ("match", "ab", "--l", "1.0", "--u-km", "inf", "--algo", "brute"),
+    ("match", "ab", "--l", "1.0", "--u-km", "inf", "--algo", "pruned"),
+    ("match", "ab", "--l", "1.0", "--u-km", "inf", "--k", "3"),
+    ("match", "ab", "--l", "1.0", "--u-factor", "inf"),
+    ("bench", "--queries", "4", "--l", "1.0", "--u-km", "inf",
+     "--algo", "brute", "--algo", "pruned"),
+])
+def test_an_infinite_cap_exits_2(runner, tmp_path, call):
+    write_unit_triangle_files(tmp_path)
+    res = runner.invoke(main, [*call, "--bases", str(tmp_path / "bases.csv"),
+                               "--lanes", str(tmp_path / "lanes.csv")])
+    assert res.exit_code == 2, res.output
+    assert "u must be positive and finite, got inf" in res.output
 
 
 def test_bench_csv_rows_carry_the_jsonl_fields(runner, tmp_path):

@@ -34,7 +34,7 @@ def test_by_start_sorted_by_distance():
     lanes = [make_lane("ac", "A", "C", space), make_lane("ab", "A", "B", space)]
     index = build_index(lanes, space)
     assert [l.id for l in index.by_start["A"]] == ["ab", "ac"]
-    assert index.start_dists["A"] == [3.0, 5.0]
+    assert [l.dist for l in index.by_start["A"]] == [3.0, 5.0]
 
 
 def test_distance_ties_break_by_lane_id():

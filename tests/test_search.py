@@ -47,6 +47,22 @@ def test_query_validation(ell, u, k):
         Query("x", ell, u, k)
 
 
+def test_query_rejects_an_infinite_cap():
+    """At ell == 1 an infinite u makes bound_e1 inf * 0 = NaN, so pruned and
+    topk would find nothing where brute finds (ab, bc, ca). The query refuses
+    it; any finite cap finds the triangle with every backend."""
+    space = MetricSpace.great_circle([Base("a", 35.0, 135.0), Base("b", 35.5, 135.5),
+                                      Base("c", 36.0, 135.0), Base("d", 35.0, 136.0)])
+    index = build_index([make_lane(s + e, s, e, space)
+                         for s, e in ("ab", "bc", "ca", "ad")], space)
+    with pytest.raises(ValueError, match="finite"):
+        Query("ab", 1.0, math.inf)
+    q = Query("ab", 1.0, 1e12)
+    assert keyset(enumerate_bruteforce(index, space, q)) == {("bc", "ca")}
+    assert keyset(enumerate_pruned(index, space, q)) == {("bc", "ca")}
+    assert keyset(enumerate_topk(index, space, Query("ab", 1.0, 1e12, k=3))) == {("bc", "ca")}
+
+
 def test_evaluate_line_example(tri4_instance):
     space, index = tri4_instance
     tr = evaluate(index.by_id["AB"], index.by_id["BC"], index.by_id["CD"], space)
