@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -62,6 +63,26 @@ def _load_space(bases_path: str, matrix_path: str | None, force: bool) -> Metric
                 click.echo("metric validation failed (use --force to proceed)", err=True)
                 sys.exit(3)
     return space
+
+
+class _Float(click.ParamType):
+    """A float flag whose typed value must pass `test`, checked before any
+    file is read. click.FloatRange alone would let nan through."""
+
+    name = "float"
+
+    def __init__(self, test, want: str):
+        self.test, self.want = test, want
+
+    def convert(self, value, param, ctx):
+        x = click.FLOAT.convert(value, param, ctx)
+        if not self.test(x):
+            self.fail(f"{self.want}, got {value}", param, ctx)
+        return x
+
+
+_RATE = _Float(lambda v: 0.0 < v <= 1.0, "ell must be in (0, 1]")
+_CAP = _Float(lambda v: 0.0 < v < math.inf, "u must be positive and finite")
 
 
 def _u_factor(u_km: float | None, u_factor: float | None) -> float:
@@ -181,11 +202,12 @@ def validate(bases_path, lanes_path, matrix_path, samples, seed, force):
 @click.option("--lanes", "lanes_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--matrix", "matrix_path", default=None, type=click.Path(exists=True, dir_okay=False),
               help="km distance grid to use in place of great-circle distances.")
-@click.option("--l", "ell", type=float, required=True, help="Desired occupied vehicle rate.")
-@click.option("--u-km", type=float, default=None, help="Absolute mileage cap in km.")
-@click.option("--u-factor", type=float, default=None,
+@click.option("--l", "ell", type=_RATE, required=True, help="Desired occupied vehicle rate.")
+@click.option("--u-km", type=_CAP, default=None, help="Absolute mileage cap in km.")
+@click.option("--u-factor", type=_CAP, default=None,
               help="Cap as a multiple of the client lane length (default 4).")
-@click.option("--k", type=int, default=None, help="Return only the k best rates.")
+@click.option("--k", type=click.IntRange(min=1), default=None,
+              help="Return only the k best rates.")
 @click.option("--algo", type=click.Choice(list(BACKENDS)), default=None,
               help="Backend (default: pruned, or topk when --k is given).")
 @click.option("--shapley", is_flag=True, help="Attach fair mileage-savings shares.")
@@ -238,12 +260,13 @@ def match(lane_id, bases_path, lanes_path, matrix_path, ell, u_km, u_factor,
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--algo", "algos", type=click.Choice(list(BACKENDS)),
               multiple=True, default=("pruned",), show_default=True)
-@click.option("--l", "ells", type=float, multiple=True,
+@click.option("--l", "ells", type=_RATE, multiple=True,
               help="Rate grid (default 0.75..0.95 step 0.05).")
-@click.option("--u-factor", type=float, default=None,
+@click.option("--u-factor", type=_CAP, default=None,
               help="Cap as a multiple of the client lane length (default 4).")
-@click.option("--u-km", type=float, default=None, help="Absolute mileage cap in km.")
-@click.option("--k", type=int, default=20, show_default=True, help="k for the topk backend.")
+@click.option("--u-km", type=_CAP, default=None, help="Absolute mileage cap in km.")
+@click.option("--k", type=click.IntRange(min=1), default=20, show_default=True,
+              help="k for the topk backend.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write per-query rows here.")
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default="jsonl",

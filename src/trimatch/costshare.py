@@ -4,13 +4,13 @@ The savings game: each lane alone runs a round trip with an empty backhaul,
 any two lanes may run a two-lane cycle, and the grand coalition runs the
 triangle. A coalition's value is the mileage its members save against going
 alone, floored at zero so no coalition is forced to lose. Shares are Shapley
-values, computed exactly over the six player orderings.
+values. A lone lane saves nothing, so each lane's share is a closed form of
+the three pair savings and the grand saving.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .lanes import Lane, LaneIndex
 from .metric import MetricSpace
@@ -72,16 +72,12 @@ def coalition_game(tr: Triangle, index: LaneIndex, space: MetricSpace) -> Coalit
 
 
 def shapley_split(tr: Triangle, index: LaneIndex, space: MetricSpace) -> ShapleySplit:
-    """Average each lane's marginal saving over all six join orders."""
+    """Shapley value of each lane i, with j and k the other two:
+    (v(N) - v({j,k})) / 3 + (v({i,j}) + v({i,k})) / 6."""
     game = coalition_game(tr, index, space)
-    acc = [0.0, 0.0, 0.0]
-    for order in permutations(_PLAYERS):
-        members: frozenset = frozenset()
-        before = 0.0
-        for p in order:
-            members = members | {p}
-            after = game.value(members)
-            acc[p] += after - before
-            before = after
-    shares = tuple(a / 6.0 for a in acc)
-    return ShapleySplit(game.players, shares, game.value(frozenset(_PLAYERS)))
+    grand = frozenset(_PLAYERS)
+    whole = game.value(grand)
+    without = [game.value(grand - {p}) for p in _PLAYERS]  # the pair lacking p
+    shares = tuple((whole - without[i]) / 3.0 + (without[j] + without[k]) / 6.0
+                   for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
+    return ShapleySplit(game.players, shares, whole)

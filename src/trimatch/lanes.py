@@ -211,7 +211,7 @@ def lanes_in_range(index: LaneIndex, s: str, lb: float, ub: float) -> list[Lane]
 def load_lanes_csv(path: str | Path, space: MetricSpace) -> list[Lane]:
     """Read lanes.csv (`lane_id,origin_base_id,dest_base_id[,owner]`).
 
-    Every offending row is reported with its row number; nothing is loaded
+    Every offending row is reported with its file line; nothing is loaded
     when any row is bad.
     """
     path = Path(path)
@@ -222,7 +222,8 @@ def load_lanes_csv(path: str | Path, space: MetricSpace) -> list[Lane]:
         required = {"lane_id", "origin_base_id", "dest_base_id"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"{path}: header must contain {sorted(required)}")
-        for rownum, row in enumerate(reader, start=2):
+        for row in reader:
+            rownum = reader.reader.line_num  # the file line, blank ones counted
             lid = (row["lane_id"] or "").strip()
             start = (row["origin_base_id"] or "").strip()
             end = (row["dest_base_id"] or "").strip()

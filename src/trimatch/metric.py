@@ -348,7 +348,8 @@ def load_bases_csv(path: str | Path) -> list[Base]:
         has_coords = "lat" in reader.fieldnames and "lon" in reader.fieldnames
         bases: list[Base] = []
         seen: set[str] = set()
-        for rownum, row in enumerate(reader, start=2):
+        for row in reader:
+            rownum = reader.reader.line_num  # the file line, blank ones counted
             bid = (row["base_id"] or "").strip()
             if not bid:
                 raise ValueError(f"{path} row {rownum}: empty base_id")

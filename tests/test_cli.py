@@ -207,6 +207,18 @@ def test_bad_bases_rows_exit_2_naming_the_file_row(runner, tmp_path, rows, messa
     assert message in res.output
 
 
+@pytest.mark.parametrize("command", ["validate", "match"])
+def test_row_errors_name_the_file_line_past_blank_lines(runner, tmp_path, command):
+    (tmp_path / "bases.csv").write_text("base_id,lat,lon\na,35,135\n\nb,36,135\n\nc,95,135\n")
+    (tmp_path / "lanes.csv").write_text("lane_id,origin_base_id,dest_base_id\nab,a,b\n")
+    args = {"validate": ["validate", "--bases", str(tmp_path / "bases.csv")],
+            "match": ["match", "ab", "--bases", str(tmp_path / "bases.csv"),
+                      "--lanes", str(tmp_path / "lanes.csv"), "--l", "0.8"]}[command]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "bases.csv row 6: lat 95.0 outside [-90, 90]" in res.output
+
+
 @pytest.mark.parametrize("command,name,line,code", [
     ("validate", "bases.csv", 6, 2),
     ("validate", "lanes.csv", 6, 3),  # validate reports every lanes.csv fault with exit 3
@@ -535,6 +547,38 @@ def test_an_infinite_cap_exits_2(runner, tmp_path, call):
                                "--lanes", str(tmp_path / "lanes.csv")])
     assert res.exit_code == 2, res.output
     assert "u must be positive and finite, got inf" in res.output
+
+
+@pytest.mark.parametrize("call,flag,typed", [
+    pytest.param(("bench", "--queries", "0", "--u-km", "inf"), "--u-km", "inf", id="bench-u-km"),
+    pytest.param(("bench", "--queries", "0", "--u-factor", "-1"), "--u-factor", "-1",
+                 id="bench-u-factor"),
+    pytest.param(("bench", "--queries", "0", "--l", "7"), "--l", "7", id="bench-l"),
+    pytest.param(("bench", "--queries", "0", "--l", "0.8", "--l", "nan"), "--l", "nan",
+                 id="bench-l-nan"),
+    pytest.param(("bench", "--queries", "0", "--algo", "topk", "--k", "0"), "--k", "0",
+                 id="bench-k"),
+    pytest.param(("match", "ab", "--l", "0.8", "--u-factor", "-1"), "--u-factor", "-1",
+                 id="match-u-factor"),
+    pytest.param(("match", "ab", "--l", "0.8", "--u-km", "nan"), "--u-km", "nan",
+                 id="match-u-km-nan"),
+    pytest.param(("match", "ab", "--l", "0"), "--l", "0", id="match-l"),
+    pytest.param(("match", "ab", "--l", "nan"), "--l", "nan", id="match-l-nan"),
+    pytest.param(("match", "ab", "--l", "0.8", "--k", "0"), "--k", "0", id="match-k"),
+])
+def test_bad_request_flags_exit_2_before_any_file_is_read(runner, tmp_path, monkeypatch,
+                                                          call, flag, typed):
+    write_unit_triangle_files(tmp_path)
+
+    def no_read(path):
+        raise AssertionError(f"read {path} before checking the flags")
+
+    monkeypatch.setattr(cli, "load_bases_csv", no_read)
+    res = runner.invoke(main, [*call, "--bases", str(tmp_path / "bases.csv"),
+                               "--lanes", str(tmp_path / "lanes.csv")])
+    assert res.exit_code == 2, res.output
+    message = res.output.split(f"Invalid value for '{flag}': ", 1)[1]
+    assert typed in message.split(), message
 
 
 def test_bench_csv_rows_carry_the_jsonl_fields(runner, tmp_path):

@@ -293,6 +293,14 @@ def test_lanes_csv_reports_row_numbers(tmp_path):
     assert "row 4" in msg
 
 
+def test_lanes_csv_errors_name_the_file_line_past_blank_lines(tmp_path):
+    space = line_space({"A": 0.0, "B": 1.0})
+    p = tmp_path / "lanes.csv"
+    p.write_text("lane_id,origin_base_id,dest_base_id\n\nok,A,B\n\nbad,A,z\n")
+    with pytest.raises(ValueError, match=r"lanes.csv: row 5: unknown base id 'z'$"):
+        load_lanes_csv(p, space)
+
+
 def switching_often(fn):
     """Run fn with the interpreter switching threads every microsecond."""
     interval = sys.getswitchinterval()

@@ -237,6 +237,13 @@ def test_bases_csv_without_rows_is_rejected(tmp_path):
         load_bases_csv(path)
 
 
+def test_bases_csv_errors_name_the_file_line_past_blank_lines(tmp_path):
+    path = tmp_path / "bases.csv"
+    path.write_text("base_id,lat,lon\na,35,135\n\nb,36,135\n\nc,95,135\n")
+    with pytest.raises(ValueError, match=r"bases.csv row 6: lat 95.0 outside"):
+        load_bases_csv(path)
+
+
 def test_bases_csv_roundtrip(tmp_path):
     p = tmp_path / "bases.csv"
     p.write_text("base_id,lat,lon\nn1,35.0,139.5\nn2,34.2,135.1\n")
