@@ -22,7 +22,7 @@ from .bench import (DEFAULT_ELL_GRID, QueryRow, aggregate, row_to_dict,
                     run_queries, sample_query_lanes)
 from .costshare import shapley_split
 from .generate import generate_instance, write_instance
-from .lanes import LaneIndex, build_index, load_lanes_csv
+from .lanes import Lane, LaneIndex, build_index, load_lanes_csv
 from .metric import (MetricSpace, UnknownBaseError, load_bases_csv,
                      load_matrix_csv, validate_metric)
 from .search import BACKENDS, Query, enumerate_topk
@@ -89,6 +89,18 @@ def _u_factor(u_km: float | None, u_factor: float | None) -> float:
     if u_km is not None and u_factor is not None:
         raise InputError("--u-km and --u-factor are mutually exclusive")
     return 4.0 if u_factor is None else u_factor
+
+
+def _cap(u_km: float | None, u_factor: float, lane: Lane) -> float:
+    """The mileage cap for a query on `lane`. A `--u-factor` whose product
+    with the lane's length over- or underflows names the flag and the lane."""
+    if u_km is not None:
+        return u_km
+    u = u_factor * lane.dist
+    if not 0.0 < u < math.inf:
+        raise InputError(f"--u-factor {u_factor!r} times lane {lane.id!r} of "
+                         f"{lane.dist:.3f} km: u must be positive and finite, got {u}")
+    return u
 
 
 def _load_index(lanes_path: str, space: MetricSpace) -> LaneIndex:
@@ -229,8 +241,7 @@ def match(lane_id, bases_path, lanes_path, matrix_path, ell, u_km, u_factor,
     index = _load_index(lanes_path, space)
     if lane_id not in index.by_id:
         raise InputError(f"unknown lane id {lane_id!r}")
-    t1 = index.by_id[lane_id]
-    u = u_km if u_km is not None else u_factor * t1.dist
+    u = _cap(u_km, u_factor, index.by_id[lane_id])
     try:
         query = Query(lane_id, ell, u, k)
     except ValueError as exc:
@@ -286,6 +297,8 @@ def bench(bases_path, lanes_path, matrix_path, queries, seed, algos, ells,
                f"built in {build_seconds:.3f}s")
     try:
         lane_ids = sample_query_lanes(index, queries, seed)
+        for lane_id in lane_ids:  # every cap is checked before the batch runs
+            _cap(u_km, u_factor, index.by_id[lane_id])
         rows = run_queries(index, space, lane_ids, algos, ells or DEFAULT_ELL_GRID,
                            u_factor=u_factor, u_km=u_km, k=k)
     except ValueError as exc:

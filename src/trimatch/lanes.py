@@ -2,28 +2,26 @@
 
 For every base b the index keeps the list of lane-start bases ordered by
 distance from b, and for every start base s the lanes leaving s ordered by
-lane length. Both lists answer range queries with a binary search, so the
-enumeration backends only ever touch candidates inside their bounds. When
-the space already holds its distance matrix, `build_index` sorts every base's
-list up front; otherwise a list is built the first time it is read, and only
-as far as the reader's bound reaches.
+lane length, as `Lane`s and as the plain tuples the search reads. Both lists
+answer range queries with a binary search, so the enumeration backends only
+ever touch candidates inside their bounds. When the space already holds its
+distance matrix, `build_index` sorts every base's list up front; otherwise a
+list is built the first time it is read, and only as far as the reader's
+bound reaches.
 """
 
 from __future__ import annotations
 
 import csv
-import gc
 import math
-import threading
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
-from .metric import MetricSpace, UnknownBaseError, open_csv
+from .metric import MetricSpace, UnknownBaseError, _young_gc_off, open_csv
 
 
 class UnknownLaneError(LookupError):
@@ -46,33 +44,6 @@ def make_lane(lane_id: str, start: str, end: str, space: MetricSpace,
     if start == end:
         raise ValueError(f"lane {lane_id!r}: start and end are both {start!r}")
     return Lane(lane_id, start, end, space.distance(start, end), owner)
-
-
-_GC_SWITCH = threading.Lock()
-
-
-@contextmanager
-def _young_gc_off():
-    """Make many new acyclic tuples without a cyclic collection traversing them.
-    Only `build_index` pauses the GC, to sort every neighbor row at once.
-
-    The GC is paused while they are made, then freeze + unfreeze moves every
-    tracked object, these included, to the oldest generation in O(1), so no
-    young collection traverses them (skipped if the caller has frozen objects:
-    unfreeze would thaw those too). The lock keeps concurrent builds from
-    reading each other's pause as the GC's state and leaving it off.
-    """
-    with _GC_SWITCH:
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            yield
-            if not gc.get_freeze_count():
-                gc.freeze()
-                gc.unfreeze()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
 
 class _NeighborRows(Mapping):
@@ -140,6 +111,10 @@ class LaneIndex:
     lanes          all lanes, sorted by id
     by_id          lane id -> lane
     by_start       start base -> lanes leaving it, sorted by (dist, id)
+    scan           start base -> [(dist, id, end)] of by_start's lanes, in its
+                   order; the bounded search bisects these for `(lb,)`, and
+                   drops the client or second lane from a copy of a list only
+                   at the start that lane leaves
     neighbors      every base -> [(start base, distance)] sorted by (distance, id);
                    `within(b, radius)` gives the row up to at least `radius`
     """
@@ -147,6 +122,7 @@ class LaneIndex:
     lanes: tuple[Lane, ...]
     by_id: dict[str, Lane]
     by_start: dict[str, list[Lane]]
+    scan: dict[str, list[tuple[float, str, str]]]
     neighbors: _NeighborRows
 
 
@@ -184,6 +160,7 @@ def build_index(lanes, space: MetricSpace) -> LaneIndex:
         lanes=ordered,
         by_id=by_id,
         by_start=by_start,
+        scan={s: [(l.dist, l.id, l.end) for l in group] for s, group in by_start.items()},
         neighbors=_NeighborRows(space, start_ids, start_pos, rows),
     )
 

@@ -9,8 +9,10 @@ module also owns the axiom checker.
 from __future__ import annotations
 
 import csv
+import gc
 import math
 import random
+import threading
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -34,6 +36,35 @@ BOUND_SLACK = 1e-9
 
 class UnknownBaseError(LookupError):
     """Raised when a base id is not registered in the space."""
+
+
+_GC_SWITCH = threading.Lock()
+
+
+@contextmanager
+def _young_gc_off():
+    """Make many new acyclic containers without a cyclic collection traversing
+    them. `MetricSpace.distance_matrix` pauses the GC to build its rows, and
+    `build_index` to sort every neighbor row at once.
+
+    The GC is paused while they are made, then freeze + unfreeze moves every
+    tracked object, these included, to the oldest generation in O(1), so no
+    young collection traverses them (skipped if the caller has frozen objects:
+    unfreeze would thaw those too). The lock keeps concurrent builds from
+    reading each other's pause as the GC's state and leaving it off; it is not
+    reentrant, so nothing inside a pause may start another.
+    """
+    with _GC_SWITCH:
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
 
 @dataclass(frozen=True)
@@ -139,10 +170,12 @@ class MetricSpace:
         O(|B|^2) memory, so only brute force and callers that want every
         neighbor row sorted up front build it. A great-circle space evaluates
         each unordered pair once and stores that one float object at both
-        (a, b) and (b, a).
+        (a, b) and (b, a). Its |B| row lists are built with the young GC
+        paused, so no collection walks their |B|^2 entries.
         """
         if self._dcache is None:
-            self._dcache = _great_circle_matrix(self.bases)
+            with _young_gc_off():
+                self._dcache = _great_circle_matrix(self.bases)
         return self._dcache
 
     @cached_property

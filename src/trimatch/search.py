@@ -18,12 +18,17 @@ mileage stays within `u`. Three backends produce the same set:
 
 pruned and topk are one bounded kernel, `_bounded_search`, with different
 result sinks: pruned collects every triangle, topk keeps the k best and feeds
-the rising threshold back into the bounds.
+the rising threshold back into the bounds. The kernel hands a sink plain
+values, not a `Triangle`, so topk builds `Triangle`s only for its k survivors.
 
 All backends compute the rate and mileage with one shared expression
 ordering, so feasibility decisions agree bit-for-bit across them. The bounded
 kernel hoists every bound term that does not change inside a loop, and
-inlines the innermost window, since most level-3 bodies scan few lanes.
+inlines the innermost window, since most level-3 bodies scan few lanes. It
+iterates `LaneIndex.scan`, each start's lanes as (dist, id, end) tuples, and
+drops the client and second lanes once per start, from a copy of the starts
+they leave (level 1: the client's; level 3: the client's or the second
+lane's), so the level-2 and level-4 bodies test no lane id.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
-from collections.abc import Callable
 from dataclasses import dataclass
 from operator import attrgetter
 from time import perf_counter
@@ -209,26 +213,38 @@ def enumerate_bruteforce(index: LaneIndex, space: MetricSpace, query: Query) -> 
     return ResultSet(tris, query.ell, stats)
 
 
+def _triangle(t1: str, ovr: float, t2: str, t3: str,
+              legs: tuple[float, ...]) -> Triangle:
+    """The `Triangle` for a sink's arguments."""
+    d1, d2, d3, e1, e2, e3, total = legs
+    return Triangle(t1, t2, t3, d1, d2, d3, e1, e2, e3, ovr, total)
+
+
 def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
-                    u: float, accept: Callable[[Triangle], float]) -> tuple[int, ...]:
+                    u: float, accept) -> tuple[int, ...]:
     """The four bounded loops behind `pruned` and `topk`; returns level_visits.
 
     Each loop only scans the neighbor prefix / lane range its bound admits,
     and partial cycles that already cannot return within `u` are dropped as
     soon as the triangle inequality exposes them. Every triangle passing the
-    inclusive final test goes to `accept(tri)`, which returns the rate
-    threshold for the rest of the search. When it rises, the hoisted terms
+    inclusive final test goes to `accept(ovr, t2, t3, legs)`, with t2 and t3
+    lane ids and legs = (d1, d2, d3, e1, e2, e3, total), which returns the
+    rate threshold for the rest of the search. When it rises, the hoisted terms
     that depend on it (b1, b3, `_d3_rate_terms`) are recomputed, which gives
     the same scans as re-reading them on every iteration. Most level-3 bodies
     scan few lanes, so their set-up is inlined: `bound_d3`'s window from those
     terms and the sums a1..a3 (the same floats as the six-term sum).
+
+    A bisect of a start's (dist, id, end) tuples for `(lb,)` finds the first
+    with dist >= lb: a 1-tuple sorts before every longer one with the same
+    first item.
     """
     d1 = t1.dist
     t1_id = t1.id
-    to_origin = dict(zip(space.base_ids, space.distances_to(t1.start)))
+    t1_start = t1.start
+    to_origin = dict(zip(space.base_ids, space.distances_to(t1_start)))
     near = index.neighbors.within
-    by_start = index.by_start
-    by_dist = attrgetter("dist")
+    scan = index.scan
     slack = BOUND_SLACK * u
     cap = u + slack  # the exits' triangle inequality holds only up to rounding
 
@@ -243,21 +259,19 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
         if cap < a1 + to_origin[s]:
             continue
         lb2, ub2 = bound_d2(ell, u, d1, e1)
-        group = by_start[s]
-        for t2 in group[bisect_left(group, lb2, key=by_dist):]:
-            d2 = t2.dist
+        group = scan[s]
+        if s == t1_start:
+            group = [t for t in group if t[1] != t1_id]
+        for d2, t2_id, t2_end in group[bisect_left(group, (lb2,)):]:
             if d2 > ub2:
                 break
-            t2_id = t2.id
-            if t2_id == t1_id:
-                continue
             v2 += 1
             a2 = a1 + d2
-            if cap < a2 + to_origin[t2.end]:
+            if cap < a2 + to_origin[t2_end]:
                 continue
             num2 = d1 + d2
             b3 = bound_e2(ell, u, d1, e1, d2)
-            for s2, e2 in near(t2.end, b3):
+            for s2, e2 in near(t2_end, b3):
                 if e2 > b3:
                     break
                 v3 += 1
@@ -265,26 +279,23 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
                 if cap < a3 + to_origin[s2]:
                     continue
                 ub4 = u - a3 + slack
-                group2 = by_start[s2]
-                if group2[0].dist > ub4:
+                group2 = scan[s2]
+                if group2[0][0] > ub4:
                     continue
+                if s2 == t1_start or s2 == s:
+                    group2 = [t for t in group2 if t[1] != t1_id and t[1] != t2_id]
                 lb4 = ratio * (e1 + e2) - num2 - lslack
-                group2 = group2 if lb4 <= 0.0 else group2[bisect_left(group2, lb4, key=by_dist):]
-                for t3 in group2:
-                    d3 = t3.dist
+                group2 = group2 if lb4 <= 0.0 else group2[bisect_left(group2, (lb4,)):]
+                for d3, t3_id, t3_end in group2:
                     if d3 > ub4:
                         break
-                    t3_id = t3.id
-                    if t3_id == t1_id or t3_id == t2_id:
-                        continue
                     v4 += 1
-                    e3 = to_origin[t3.end]
+                    e3 = to_origin[t3_end]
                     total = a3 + d3 + e3
                     if total <= u:
                         ovr = (num2 + d3) / total
                         if ovr >= ell:
-                            floor = accept(Triangle(t1_id, t2_id, t3_id, d1, d2, d3,
-                                                    e1, e2, e3, ovr, total))
+                            floor = accept(ovr, t2_id, t3_id, (d1, d2, d3, e1, e2, e3, total))
                             if floor != ell:
                                 ell = floor
                                 b1 = bound_e1(ell, u, d1)
@@ -301,8 +312,8 @@ def enumerate_pruned(index: LaneIndex, space: MetricSpace, query: Query) -> Resu
     ell = query.ell
     tris: list[Triangle] = []
 
-    def collect(tri: Triangle) -> float:
-        tris.append(tri)
+    def collect(ovr: float, t2: str, t3: str, legs: tuple[float, ...]) -> float:
+        tris.append(_triangle(t1.id, ovr, t2, t3, legs))
         return ell
 
     visits = _bounded_search(index, space, t1, ell, query.u, collect)
@@ -323,11 +334,12 @@ def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query) -> Result
     the heap is full the threshold jumps to the heap minimum after every
     insertion, shrinking all four scan ranges for the rest of the run.
 
-    Heap entries are (ovr, tie, tri) tuples with tie = (t2, t3) reversed, so
+    Heap entries are (ovr, tie, legs) tuples with tie = (t2, t3) reversed, so
     heap[0] is the worst: the lowest rate, and among equal rates the largest
-    (t2, t3). Ties are unique, so `tri` is never compared, and the entries
+    (t2, t3). Ties are unique, so `legs` is never compared, and the entries
     sorted in reverse are the top-k prefix of the full result ordered by
-    (rate desc, t2, t3), whatever order the search finds them in.
+    (rate desc, t2, t3), whatever order the search finds them in. Only those
+    k entries become `Triangle`s.
     """
     if query.k is None:
         raise ValueError("top-k search needs query.k")
@@ -335,12 +347,12 @@ def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query) -> Result
     t1 = _client_lane(index, query.t1)
     k = query.k
     ell = query.ell
-    heap: list[tuple[float, _Descending, Triangle]] = []
+    heap: list[tuple[float, _Descending, tuple[float, ...]]] = []
     trace: list[float] = []
 
-    def keep_best(tri: Triangle) -> float:
+    def keep_best(ovr: float, t2: str, t3: str, legs: tuple[float, ...]) -> float:
         nonlocal ell
-        entry = (tri.ovr, _Descending((tri.t2, tri.t3)), tri)
+        entry = (ovr, _Descending((t2, t3)), legs)
         if len(heap) < k:
             heapq.heappush(heap, entry)
         elif heap[0] < entry:
@@ -351,7 +363,7 @@ def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query) -> Result
         return ell
 
     visits = _bounded_search(index, space, t1, ell, query.u, keep_best)
-    tris = [tri for _, _, tri in sorted(heap, reverse=True)]
+    tris = [_triangle(t1.id, ovr, *tie, legs) for ovr, tie, legs in sorted(heap, reverse=True)]
     return ResultSet(tris, ell, SearchStats(visits, perf_counter() - started, tuple(trace)))
 
 

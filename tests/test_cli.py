@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -540,6 +541,8 @@ def write_unit_triangle_files(root: Path):
     ("match", "ab", "--l", "1.0", "--u-factor", "inf"),
     ("bench", "--queries", "4", "--l", "1.0", "--u-km", "inf",
      "--algo", "brute", "--algo", "pruned"),
+    ("match", "ab", "--l", "0.8", "--u-factor", "1e308"),
+    ("bench", "--queries", "4", "--l", "0.8", "--u-factor", "1e308"),
 ])
 def test_an_infinite_cap_exits_2(runner, tmp_path, call):
     write_unit_triangle_files(tmp_path)
@@ -547,6 +550,11 @@ def test_an_infinite_cap_exits_2(runner, tmp_path, call):
                                "--lanes", str(tmp_path / "lanes.csv")])
     assert res.exit_code == 2, res.output
     assert "u must be positive and finite, got inf" in res.output
+    flag = "--u-km" if "--u-km" in call else "--u-factor"
+    assert flag in res.output
+    if call[-1] == "1e308":  # a finite factor overflows only with a lane's length
+        assert re.search(r"--u-factor 1e\+308 times lane '(ab|bc|ca|ad)' of \d+\.\d{3} km:",
+                         res.output), res.output
 
 
 @pytest.mark.parametrize("call,flag,typed", [

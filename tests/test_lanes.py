@@ -42,6 +42,10 @@ def test_distance_ties_break_by_lane_id():
     lanes = [make_lane("z", "A", "B", space), make_lane("a", "A", "C", space)]
     index = build_index(lanes, space)
     assert [l.id for l in index.by_start["A"]] == ["a", "z"]
+    for _, index in (space, index), gc_instance(40, 150, seed=4):
+        assert index.scan.keys() == index.by_start.keys()
+        for s, group in index.by_start.items():
+            assert index.scan[s] == [(l.dist, l.id, l.end) for l in group]
 
 
 def test_empty_lane_set():

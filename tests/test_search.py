@@ -7,6 +7,7 @@ from trimatch import (Base, MetricSpace, Query, UnknownLaneError, bound_d2, boun
                       bound_e1, bound_e2, build_index, enumerate_bruteforce,
                       enumerate_pruned, enumerate_topk,
                       evaluate, is_feasible, make_lane, validate_metric)
+from trimatch import search
 from trimatch.search import BOUND_SLACK
 
 from conftest import gc_instance, line_space, pick_lanes, tri4
@@ -350,6 +351,25 @@ def test_topk_never_works_harder_than_pruned():
         pruned = enumerate_pruned(index, space, Query(lane_id, 0.75, u))
         topk = enumerate_topk(index, space, Query(lane_id, 0.75, u, k=5))
         assert topk.stats.candidates <= pruned.stats.candidates
+
+
+def test_topk_builds_triangles_only_for_its_survivors(monkeypatch):
+    space, index = gc_instance(40, 150, seed=12)
+    built = []
+
+    def counted(*fields, make=search.Triangle):
+        built.append(fields)
+        return make(*fields)
+
+    for lane_id in pick_lanes(index, 4, seed=13):
+        q = Query(lane_id, 0.6, 4.0 * index.by_id[lane_id].dist, k=3)
+        accepted = len(enumerate_pruned(index, space, Query(q.t1, q.ell, q.u)).triangles)
+        want = enumerate_topk(index, space, q).triangles
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(search, "Triangle", counted)
+            assert enumerate_topk(index, space, q).triangles == want
+        assert len(built) == len(want) <= 3 < accepted
 
 
 def test_stats_candidates_totals_level_visits():
