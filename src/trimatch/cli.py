@@ -129,7 +129,7 @@ def _write_out(out: str, text: str) -> None:
     try:
         Path(out).write_text(text)
     except OSError as exc:
-        raise InputError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        raise InputError(f"--out: cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _emit_records(records: list[dict], fmt: str, out: str | None,
@@ -236,6 +236,8 @@ def match(lane_id, bases_path, lanes_path, matrix_path, ell, u_km, u_factor,
         raise InputError("--algo topk requires --k")
     if algo != "topk" and k is not None:
         raise InputError("--k only applies to --algo topk")
+    if out:
+        _write_out(out, "")  # an unwritable path fails before any file is read
 
     space = _load_space(bases_path, matrix_path, force)
     index = _load_index(lanes_path, space)
@@ -288,7 +290,7 @@ def bench(bases_path, lanes_path, matrix_path, queries, seed, algos, ells,
     """Run a query batch over a rate grid and summarize per grid cell."""
     u_factor = _u_factor(u_km, u_factor)
     if out:
-        _write_out(out, "")  # an unwritable path fails before the batch runs
+        _write_out(out, "")  # an unwritable path fails before any file is read
     space = _load_space(bases_path, matrix_path, force)
     build_start = perf_counter()
     index = _load_index(lanes_path, space)

@@ -7,7 +7,9 @@ answer range queries with a binary search, so the enumeration backends only
 ever touch candidates inside their bounds. When the space already holds its
 distance matrix, `build_index` sorts every base's list up front; otherwise a
 list is built the first time it is read, and only as far as the reader's
-bound reaches.
+bound reaches. The same tuples are also grouped by end base, in the space's
+position order, so a search can find the lanes that end near a base from
+that base's distance column.
 """
 
 from __future__ import annotations
@@ -115,6 +117,9 @@ class LaneIndex:
                    order; the bounded search bisects these for `(lb,)`, and
                    drops the client or second lane from a copy of a list only
                    at the start that lane leaves
+    by_end         per base, in the space's position order: (start, scan tuple)
+                   of every lane ending there; the bounded search zips it with
+                   a distance column to find the lanes that end near a base
     neighbors      every base -> [(start base, distance)] sorted by (distance, id);
                    `within(b, radius)` gives the row up to at least `radius`
     """
@@ -123,6 +128,7 @@ class LaneIndex:
     by_id: dict[str, Lane]
     by_start: dict[str, list[Lane]]
     scan: dict[str, list[tuple[float, str, str]]]
+    by_end: list[list[tuple[str, tuple[float, str, str]]]]
     neighbors: _NeighborRows
 
 
@@ -156,11 +162,18 @@ def build_index(lanes, space: MetricSpace) -> LaneIndex:
                                          key=itemgetter(1)))
                     for b, row in zip(space.base_ids, space._dcache)}
 
+    scan = {s: [(l.dist, l.id, l.end) for l in group] for s, group in by_start.items()}
+    ends: dict[str, list[tuple[str, tuple[float, str, str]]]] = {}
+    for s, group in scan.items():
+        for t in group:
+            ends.setdefault(t[2], []).append((s, t))
+
     return LaneIndex(
         lanes=ordered,
         by_id=by_id,
         by_start=by_start,
-        scan={s: [(l.dist, l.id, l.end) for l in group] for s, group in by_start.items()},
+        scan=scan,
+        by_end=[ends.get(b, []) for b in space.base_ids],
         neighbors=_NeighborRows(space, start_ids, start_pos, rows),
     )
 

@@ -29,6 +29,13 @@ iterates `LaneIndex.scan`, each start's lanes as (dist, id, end) tuples, and
 drops the client and second lanes once per start, from a copy of the starts
 they leave (level 1: the client's; level 3: the client's or the second
 lane's), so the level-2 and level-4 bodies test no lane id.
+
+The third empty leg e3 closes the cycle at the client's start o, and the
+rate test caps it like any empty leg. So once per query the kernel lists,
+per start, the lanes that end within `bound_e1` of o, with that start's
+smallest e3 (`_closable_lanes`, from `LaneIndex.by_end` and o's distance
+column). Level 3 skips a start with no such lane, or whose smallest e3 is
+over the empty mileage e1 and e2 leave, and level 4 scans only that list.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from time import perf_counter
 
 from .lanes import Lane, LaneIndex, UnknownLaneError
@@ -83,9 +90,12 @@ class Triangle:
 class SearchStats:
     """Loop-trip counters: level_visits[i] = bodies entered at loop level i,
     counted after the set exclusions but before any early-continue test.
-    Unpruned, with n lanes and |S| start bases, brute visits (n-1, (n-1)(n-2))
-    and the four bounded levels would visit (|S|, n-1, (n-1)|S|, (n-1)(n-2)),
-    the most pruned and topk can visit at each level."""
+    Level 4 enters only third lanes that end within the query's closing
+    reach of the client's start (see `_closable_lanes`), so it counts those
+    alone. Unpruned, with n lanes and |S| start bases, brute visits
+    (n-1, (n-1)(n-2)) and the four bounded levels would visit
+    (|S|, n-1, (n-1)|S|, (n-1)(n-2)), the most pruned and topk can visit at
+    each level."""
 
     level_visits: tuple[int, ...]
     seconds: float
@@ -125,12 +135,25 @@ def is_feasible(tr: Triangle, ell: float, u: float) -> bool:
 
 
 def bound_e1(ell: float, u: float, d1: float) -> float:
-    """Largest first empty leg any qualifying triangle can have. May be negative."""
+    """Largest first empty leg any qualifying triangle can have. May be negative.
+
+    Rests on non-negative distances alone: the rate test (1 - ell) * D >=
+    ell * E, with D the loaded and E the empty mileage, gives
+    e1 <= E <= (1 - ell) * total <= (1 - ell) * u, and total <= u gives
+    e1 <= u - d1. The same holds for e3, so this is also how far from the
+    client's start a closing third lane may end.
+    """
     return min(u * (1.0 - ell), u - d1) + BOUND_SLACK * u
 
 
 def bound_d2(ell: float, u: float, d1: float, e1: float) -> tuple[float, float]:
-    """Admissible second-lane length range (lower clamped to 0)."""
+    """Admissible second-lane length range (lower clamped to 0).
+
+    The upper end rests on non-negative distances alone (total <= u). The
+    lower end, (2 ell - 1) / (2 (1 - ell)) * e1 - d1, rests on symmetry plus
+    the triangle inequality: it needs d3 <= e2 + d2 + e1 + d1 + e3, the cycle
+    walked backwards from t3's start to its end.
+    """
     upper = u - (d1 + e1) + BOUND_SLACK * u
     if ell == 1.0:
         lower = 0.0
@@ -142,7 +165,12 @@ def bound_d2(ell: float, u: float, d1: float, e1: float) -> tuple[float, float]:
 
 def bound_e2(ell: float, u: float, d1: float, e1: float, d2: float) -> float:
     """Largest second empty leg; at most BOUND_SLACK * u once e1 spends the
-    empty-mileage budget."""
+    empty-mileage budget.
+
+    Rests on non-negative distances alone: e1 + e2 <= (1 - ell) * u by the
+    rate test, and d1 + e1 + d2 + e2 <= u. So is the level-3 cut that needs
+    e3 <= bound_e2(...) - e2 (+ slack): the same two sums with e3 added.
+    """
     return min(u * (1.0 - ell) - e1, u - (d1 + e1 + d2)) + BOUND_SLACK * u
 
 
@@ -153,7 +181,12 @@ def _d3_rate_terms(ell: float, u: float) -> tuple[float, float]:
 
 def bound_d3(ell: float, u: float, d1: float, e1: float, d2: float,
              e2: float) -> tuple[float, float]:
-    """Admissible third-lane length range (lower clamped to 0)."""
+    """Admissible third-lane length range (lower clamped to 0).
+
+    Both ends rest on non-negative distances alone: the upper on total <= u,
+    the lower on the rate test with e3 >= 0,
+    (1 - ell) * (d1 + d2 + d3) >= ell * (e1 + e2).
+    """
     upper = u - (d1 + e1 + d2 + e2) + BOUND_SLACK * u
     ratio, lslack = _d3_rate_terms(ell, u)
     return max(0.0, ratio * (e1 + e2) - (d1 + d2) - lslack), upper
@@ -220,13 +253,46 @@ def _triangle(t1: str, ovr: float, t2: str, t3: str,
     return Triangle(t1, t2, t3, d1, d2, d3, e1, e2, e3, ovr, total)
 
 
+def _closable_lanes(by_end: list, column: list[float], reach: float
+                    ) -> dict[str, tuple[float, list[tuple[float, str, str]]]]:
+    """start -> (smallest e3, its lanes that end within `reach` of the client's
+    start, as `scan` tuples in `scan`'s order); a start with no such lane has
+    no entry. `column` holds each base's distance to the client's start, in
+    the space's position order, as `LaneIndex.by_end` does its lanes.
+
+    The ends are taken nearest first, so the first e3 a start gets is its
+    smallest; a start's tuples are then sorted back into (dist, id) order.
+    They are the index's own tuples, and level 4 looks e3 up again: a new
+    (d3, id, e3) tuple per closable lane cost more than that lookup per visit.
+    """
+    table = {}
+    get = table.get
+    for e3, ends in sorted([p for p in zip(column, by_end) if p[0] <= reach],
+                           key=itemgetter(0)):
+        for s, t in ends:
+            entry = get(s)
+            if entry is None:
+                table[s] = (e3, [t])
+            else:
+                entry[1].append(t)
+    for _, group in table.values():
+        group.sort()
+    return table
+
+
 def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
                     u: float, accept) -> tuple[int, ...]:
     """The four bounded loops behind `pruned` and `topk`; returns level_visits.
 
     Each loop only scans the neighbor prefix / lane range its bound admits,
     and partial cycles that already cannot return within `u` are dropped as
-    soon as the triangle inequality exposes them. Every triangle passing the
+    soon as the triangle inequality exposes them: the three exits test
+    a + d(x, o) against `cap`, for a partial cycle of mileage a that has
+    reached x, which rests on the origin inequality d(x, o) <= d(x, y) +
+    d(y, o). Level 3 reads its starts' lanes from `_closable_lanes` and
+    skips a start whose smallest e3 is over b3 - e2 (+ slack); both cuts rest
+    on non-negative distances alone (see `bound_e1` and `bound_e2`), so they
+    hold on every matrix the space accepts. Every triangle passing the
     inclusive final test goes to `accept(ovr, t2, t3, legs)`, with t2 and t3
     lane ids and legs = (d1, d2, d3, e1, e2, e3, total), which returns the
     rate threshold for the rest of the search. When it rises, the hoisted terms
@@ -242,7 +308,8 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
     d1 = t1.dist
     t1_id = t1.id
     t1_start = t1.start
-    to_origin = dict(zip(space.base_ids, space.distances_to(t1_start)))
+    column = space.distances_to(t1_start)
+    to_origin = dict(zip(space.base_ids, column))
     near = index.neighbors.within
     scan = index.scan
     slack = BOUND_SLACK * u
@@ -251,6 +318,8 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
     v1 = v2 = v3 = v4 = 0
     b1 = bound_e1(ell, u, d1)
     ratio, lslack = _d3_rate_terms(ell, u)
+    closable = _closable_lanes(index.by_end, column, b1)
+    unclosable = (math.inf, [])
     for s, e1 in near(t1.end, b1):
         if e1 > b1:
             break
@@ -275,11 +344,13 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
                 if e2 > b3:
                     break
                 v3 += 1
+                e3_min, group2 = closable.get(s2, unclosable)
+                if e3_min > b3 - e2 + slack:
+                    continue
                 a3 = a2 + e2
                 if cap < a3 + to_origin[s2]:
                     continue
                 ub4 = u - a3 + slack
-                group2 = scan[s2]
                 if group2[0][0] > ub4:
                     continue
                 if s2 == t1_start or s2 == s:

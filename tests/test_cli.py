@@ -387,6 +387,19 @@ def test_match_out_into_missing_directory_exits_2(runner, tmp_path):
     assert "Traceback" not in res.output
 
 
+def test_match_checks_out_before_reading_any_file(runner, tmp_path):
+    """With a malformed lanes file the error is still the --out one: the path
+    is checked before the inputs are read, let alone searched."""
+    write_tri4_files(tmp_path)
+    (tmp_path / "lanes.csv").write_text("lane_id,origin_base_id,dest_base_id\nAB,A,nowhere\n")
+    out = tmp_path / "missing" / "out.jsonl"
+    res = runner.invoke(main, ["match", "AB", *tri4_args(tmp_path), "--l", "0.9",
+                               "--out", str(out)])
+    assert res.exit_code == 2
+    assert f"--out: cannot write {out}" in res.output
+    assert "nowhere" not in res.output and "Traceback" not in res.output
+
+
 @pytest.mark.parametrize("flags", [["--shapley"], ["--k", "3"], ["--k", "3", "--shapley"]])
 def test_match_csv_header_does_not_depend_on_the_result(runner, tmp_path, flags):
     write_tri4_files(tmp_path)

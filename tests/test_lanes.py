@@ -48,6 +48,15 @@ def test_distance_ties_break_by_lane_id():
             assert index.scan[s] == [(l.dist, l.id, l.end) for l in group]
 
 
+def test_by_end_holds_each_scan_tuple_at_its_end_position():
+    space, index = gc_instance(40, 150, seed=4)
+    assert len(index.by_end) == len(space)
+    for b, ends in zip(space.base_ids, index.by_end):
+        assert sorted(t[1] for _, t in ends) == sorted(l.id for l in index.lanes if l.end == b)
+        for s, t in ends:
+            assert any(t is x for x in index.scan[s])  # the index's own tuple
+
+
 def test_empty_lane_set():
     space = line_space({"A": 0.0, "B": 1.0})
     index = build_index([], space)

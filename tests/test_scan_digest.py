@@ -13,7 +13,7 @@ from trimatch import Query, enumerate_pruned, enumerate_topk
 
 from conftest import gc_instance, pick_lanes
 
-DIGEST = "b9bb594ed9c9bce62a0196c6246c260946914a25dc6bf5e390bfecf2489c789c"
+DIGEST = "8346139f2d6e08b5153ef6f91d04b0604b4cc7273328319fa645ed0062501683"
 
 # mode -> (cap as a multiple of the lane, k, backend)
 MODES = {

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trimatch import (Base, MetricSpace, Query, UnknownLaneError, bound_d2, bound_d3,
                       bound_e1, bound_e2, build_index, enumerate_bruteforce,
@@ -292,6 +294,76 @@ def test_bounds_hold_for_every_feasible_triangle():
                 assert lo3 <= t.d3 <= hi3
                 checked += 1
     assert checked > 100
+
+
+def assert_closing_cuts_hold(index, space, lane_id, ell, u) -> int:
+    """The bounded search drops a third lane whose e3 is over either budget
+    below; both follow from the final test alone, so every triangle brute
+    force finds must be within them, on any non-negative distances. The
+    table's reach, bound_e1, is at most u * (1 - ell) + BOUND_SLACK * u."""
+    tris = enumerate_bruteforce(index, space, Query(lane_id, ell, u)).triangles
+    for t in tris:
+        assert t.e3 <= bound_e1(ell, u, t.d1)
+        assert t.e3 <= bound_e2(ell, u, t.d1, t.e1, t.d2) - t.e2 + BOUND_SLACK * u
+    return len(tris)
+
+
+def test_closing_cuts_hold_on_great_circle_data():
+    space, index = gc_instance(40, 140, seed=7)
+    checked = 0
+    for lane_id in pick_lanes(index, 6, seed=9):
+        for ell, factor in ((0.6, 4.0), (0.75, 4.0), (0.9, 4.0), (0.6, 1.5)):
+            u = factor * index.by_id[lane_id].dist
+            checked += assert_closing_cuts_hold(index, space, lane_id, ell, u)
+    assert checked > 100
+
+
+@given(seed=st.integers(0, 2**32 - 1), ell=st.sampled_from((0.3, 0.5, 0.6, 0.75, 0.9)),
+       factor=st.floats(1.05, 6.0))
+@settings(max_examples=60, deadline=None)
+def test_closing_cuts_hold_on_any_nonnegative_matrix(seed, ell, factor):
+    """Random matrices with zero and lopsided entries, neither symmetric nor
+    metric: brute force is still the reference there, and caps from just
+    over the client lane up to 6x it reach both sides of bound_e1's min."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 8)
+    ids = [f"b{i}" for i in range(n)]
+    matrix = [[0.0 if i == j or rng.random() < 0.1
+                else rng.uniform(0.0, 100.0) ** rng.choice((1, 2)) for j in range(n)]
+              for i in range(n)]
+    space = MetricSpace.from_matrix([Base(b) for b in ids], matrix)
+    kinds = {v.kind for v in validate_metric(space).violations}
+    assume({"symmetry", "triangle"} <= kinds)
+    pairs = [(a, b) for a in ids for b in ids if a != b and space.distance(a, b) > 0.0]
+    lanes = [make_lane(f"l{i:02d}", a, b, space)
+             for i, (a, b) in enumerate(rng.sample(pairs, min(len(pairs), 14)))]
+    index = build_index(lanes, space)
+    for lane in lanes[:4]:
+        assert_closing_cuts_hold(index, space, lane.id, ell, factor * lane.dist)
+
+
+def test_level_four_enters_only_lanes_that_close_the_cycle():
+    """Client O->P, second lane P->Q, and five lanes leaving Q. With u = 40 at
+    ell 0.75 the empty legs may total 10, so only Q->O (e3 = 0) and Q->M
+    (e3 = 5) can close; Q->F3 and Q->F2 fit the d3 window but end 20.6 and
+    23.3 from O, and Q->F1 is too long. Level 4 enters the two that close,
+    where the d3 window alone would enter four."""
+    pts = {"O": (0.0, 0.0), "P": (10.0, 0.0), "Q": (5.0, 12.0), "M": (3.0, 4.0),
+           "F1": (5.0, 30.0), "F2": (20.0, 12.0), "F3": (5.0, 20.0)}
+    space = MetricSpace.from_matrix([Base(b) for b in pts],
+                                    [[math.dist(p, q) for q in pts.values()] for p in pts.values()])
+    index = build_index([make_lane(i, a, b, space) for i, a, b in (
+        ("t1", "O", "P"), ("t2", "P", "Q"), ("near", "Q", "O"), ("mid", "Q", "M"),
+        ("far1", "Q", "F1"), ("far2", "Q", "F2"), ("far3", "Q", "F3"))], space)
+    q = Query("t1", 0.75, 40.0)
+    brute = by_rate(enumerate_bruteforce(index, space, q).triangles)
+    assert [(t.t2, t.t3) for t in brute] == [("t2", "near"), ("t2", "mid")]
+    pruned = enumerate_pruned(index, space, q)
+    assert by_rate(pruned.triangles) == brute
+    assert pruned.stats.level_visits == (2, 1, 1, 2)
+    top = enumerate_topk(index, space, Query("t1", 0.75, 40.0, k=1))
+    assert top.triangles == brute[:1]
+    assert top.stats.level_visits == (1, 1, 1, 2)  # at rate 1, O (e1 = 10) is past level 1
 
 
 # --- top-k ----------------------------------------------------------------
