@@ -55,7 +55,7 @@ def _read_space(bases_path: str, matrix_path: str | None) -> MetricSpace:
 def _load_space(bases_path: str, matrix_path: str | None, force: bool) -> MetricSpace:
     space = _read_space(bases_path, matrix_path)
     if matrix_path is not None:
-        # explicit matrices carry no proof of metricity; refuse bad ones
+        # vets the user's data; the search is exact on any matrix, --force or not
         report = validate_metric(space)
         if not report.ok:
             click.echo(report.summary(), err=True)

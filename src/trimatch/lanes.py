@@ -114,7 +114,7 @@ class LaneIndex:
     by_id          lane id -> lane
     by_start       start base -> lanes leaving it, sorted by (dist, id)
     scan           start base -> [(dist, id, end)] of by_start's lanes, in its
-                   order; the bounded search bisects these for `(lb,)`, and
+                   order; the bounded search scans a prefix of these, and
                    drops the client or second lane from a copy of a list only
                    at the start that lane leaves
     by_end         per base, in the space's position order: (start, scan tuple)

@@ -1,9 +1,9 @@
 """Finite metric space over transportation bases.
 
 Two distance providers are supported: great-circle distance from WGS84
-coordinates, and an explicit square kilometre matrix. Everything downstream
-(index construction, pruned enumeration) relies on the metric axioms, so this
-module also owns the axiom checker.
+coordinates, and an explicit square kilometre matrix. The search is exact on
+any matrix the space accepts (see `trimatch.search`), so the axiom checker
+here vets a user's data, not a premise of the search.
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ EARTH_RADIUS_KM = 6371.0088
 _DEG = math.pi / 180.0  # x * _DEG is exactly math.radians(x)
 
 # Relative tolerance for rounding in sums of distances. The search's bounds and
-# triangle-inequality exits are exact in real arithmetic, but the float test
-# `ovr >= ell and total <= u` can pass a triangle a rounding error outside them,
-# and great-circle floats break d(a, c) <= d(a, b) + d(b, c) by an ulp on
-# collinear points. So the search widens each of them by BOUND_SLACK * u, a
-# lane-length lower bound (which scales rate errors by 1 / (1 - ell)) by
-# BOUND_SLACK * u / (1 - ell), and `validate_metric` flags only an excess over
-# BOUND_SLACK * d(a, c). That is far above the few-ulp errors, and harmless,
-# since the inclusive final test still decides.
+# its triangle-inequality exits (run on great circles only) are exact in real
+# arithmetic, but the float test `ovr >= ell and total <= u` can pass a
+# triangle a rounding error outside them, and great-circle floats break
+# d(a, c) <= d(a, b) + d(b, c) by an ulp on collinear points. So the search
+# widens each by BOUND_SLACK * u, a lane-length lower bound (rate errors scale
+# by 1 / (1 - ell)) by BOUND_SLACK * u / (1 - ell), and `validate_metric` flags
+# only an excess over BOUND_SLACK * d(a, c). That is far above the few-ulp
+# errors, and harmless, since the inclusive final test still decides.
 BOUND_SLACK = 1e-9
 
 
@@ -129,6 +129,7 @@ class MetricSpace:
         self.bases = bases
         self._pos = {b.id: i for i, b in enumerate(bases)}
         self._dcache: list[list[float]] | None = matrix
+        self._explicit = matrix is not None
         self._rows: dict[int, list[float]] = {}  # great-circle rows by position
         self.base_ids: tuple[str, ...] = tuple(b.id for b in bases)
 
@@ -141,6 +142,11 @@ class MetricSpace:
         if matrix is None:
             raise ValueError("from_matrix requires a matrix")
         return cls(bases, matrix)
+
+    @property
+    def explicit(self) -> bool:
+        """A matrix was given: false for great circles, matrix built or not."""
+        return self._explicit
 
     def __len__(self) -> int:
         return len(self.bases)

@@ -10,7 +10,7 @@ mileage stays within `u`. Three backends produce the same set:
   pruned   four loops over start bases and their lanes (the first empty
            leg's start, the second lane, the second empty leg's start, the
            third lane), each cut by distance-derived bounds to a sorted
-           prefix / range
+           prefix
   topk     the same bounded search keeping a size-k min-heap; the
            feasibility threshold rises to the provisional kth-best rate as
            candidates accumulate, and ties at the kth rate go to the
@@ -36,6 +36,10 @@ per start, the lanes that end within `bound_e1` of o, with that start's
 smallest e3 (`_closable_lanes`, from `LaneIndex.by_end` and o's distance
 column). Level 3 skips a start with no such lane, or whose smallest e3 is
 over the empty mileage e1 and e2 leave, and level 4 scans only that list.
+
+Every level scans a sorted prefix up to a bound that needs only non-negative
+distances; the early exits that need the triangle inequality run only on
+great-circle spaces. So pruned and topk equal brute on any accepted matrix.
 """
 
 from __future__ import annotations
@@ -149,10 +153,10 @@ def bound_e1(ell: float, u: float, d1: float) -> float:
 def bound_d2(ell: float, u: float, d1: float, e1: float) -> tuple[float, float]:
     """Admissible second-lane length range (lower clamped to 0).
 
-    The upper end rests on non-negative distances alone (total <= u). The
-    lower end, (2 ell - 1) / (2 (1 - ell)) * e1 - d1, rests on symmetry plus
-    the triangle inequality: it needs d3 <= e2 + d2 + e1 + d1 + e3, the cycle
-    walked backwards from t3's start to its end.
+    The upper end rests on non-negative distances alone (total <= u); it is
+    all the bounded search reads. The lower end holds only on symmetric
+    metrics: it needs d3 <= e2 + d2 + e1 + d1 + e3, the cycle walked
+    backwards from t3's start to its end.
     """
     upper = u - (d1 + e1) + BOUND_SLACK * u
     if ell == 1.0:
@@ -174,22 +178,19 @@ def bound_e2(ell: float, u: float, d1: float, e1: float, d2: float) -> float:
     return min(u * (1.0 - ell) - e1, u - (d1 + e1 + d2)) + BOUND_SLACK * u
 
 
-def _d3_rate_terms(ell: float, u: float) -> tuple[float, float]:
-    """Rate factor and slack of the third-lane lower bound; both 0 at ell == 1."""
-    return (0.0, 0.0) if ell == 1.0 else (ell / (1.0 - ell), BOUND_SLACK * u / (1.0 - ell))
-
-
 def bound_d3(ell: float, u: float, d1: float, e1: float, d2: float,
              e2: float) -> tuple[float, float]:
     """Admissible third-lane length range (lower clamped to 0).
 
-    Both ends rest on non-negative distances alone: the upper on total <= u,
-    the lower on the rate test with e3 >= 0,
-    (1 - ell) * (d1 + d2 + d3) >= ell * (e1 + e2).
+    Both ends rest on non-negative distances alone, and the bounded search
+    reads only the upper: the upper on total <= u, the lower on the rate
+    test with e3 >= 0, (1 - ell) * (d1 + d2 + d3) >= ell * (e1 + e2).
     """
     upper = u - (d1 + e1 + d2 + e2) + BOUND_SLACK * u
-    ratio, lslack = _d3_rate_terms(ell, u)
-    return max(0.0, ratio * (e1 + e2) - (d1 + d2) - lslack), upper
+    if ell == 1.0:
+        return 0.0, upper
+    return max(0.0, ell / (1.0 - ell) * (e1 + e2) - (d1 + d2)
+               - BOUND_SLACK * u / (1.0 - ell)), upper
 
 
 def _client_lane(index: LaneIndex, lane_id: str) -> Lane:
@@ -284,26 +285,23 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
                     u: float, accept) -> tuple[int, ...]:
     """The four bounded loops behind `pruned` and `topk`; returns level_visits.
 
-    Each loop only scans the neighbor prefix / lane range its bound admits,
-    and partial cycles that already cannot return within `u` are dropped as
-    soon as the triangle inequality exposes them: the three exits test
-    a + d(x, o) against `cap`, for a partial cycle of mileage a that has
-    reached x, which rests on the origin inequality d(x, o) <= d(x, y) +
-    d(y, o). Level 3 reads its starts' lanes from `_closable_lanes` and
-    skips a start whose smallest e3 is over b3 - e2 (+ slack); both cuts rest
-    on non-negative distances alone (see `bound_e1` and `bound_e2`), so they
-    hold on every matrix the space accepts. Every triangle passing the
-    inclusive final test goes to `accept(ovr, t2, t3, legs)`, with t2 and t3
-    lane ids and legs = (d1, d2, d3, e1, e2, e3, total), which returns the
-    rate threshold for the rest of the search. When it rises, the hoisted terms
-    that depend on it (b1, b3, `_d3_rate_terms`) are recomputed, which gives
-    the same scans as re-reading them on every iteration. Most level-3 bodies
-    scan few lanes, so their set-up is inlined: `bound_d3`'s window from those
-    terms and the sums a1..a3 (the same floats as the six-term sum).
+    Every level scans a sorted prefix up to its bound: neighbors up to
+    `bound_e1` and `bound_e2`, lanes up to the upper ends of `bound_d2` and
+    `bound_d3`. Level 3 reads its starts' lanes from `_closable_lanes` and
+    skips a start whose smallest e3 is over b3 - e2 (+ slack). These cuts
+    need only non-negative distances. The three exits need more: they drop a
+    partial cycle of mileage a at x once a + d(x, o) > `cap`, which rests on
+    the origin inequality d(x, o) <= d(x, y) + d(y, o). That holds on great
+    circles up to `BOUND_SLACK`, so on an explicit space `cap` is inf.
 
-    A bisect of a start's (dist, id, end) tuples for `(lb,)` finds the first
-    with dist >= lb: a 1-tuple sorts before every longer one with the same
-    first item.
+    Every triangle passing the inclusive final test goes to
+    `accept(ovr, t2, t3, legs)`, with t2 and t3 lane ids and
+    legs = (d1, d2, d3, e1, e2, e3, total), which returns the rate threshold
+    for the rest of the search. When it rises, b1 and b3 are recomputed,
+    which gives the same scans as re-reading them on every iteration. Most
+    level-3 bodies scan few lanes, so their set-up is inlined: the upper ends
+    of `bound_d2` and `bound_d3` and the sums a1..a3, each the same float as
+    the six-term sum's prefix.
     """
     d1 = t1.dist
     t1_id = t1.id
@@ -313,11 +311,10 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
     near = index.neighbors.within
     scan = index.scan
     slack = BOUND_SLACK * u
-    cap = u + slack  # the exits' triangle inequality holds only up to rounding
+    cap = math.inf if space.explicit else u + slack  # the exits: great circles only
 
     v1 = v2 = v3 = v4 = 0
     b1 = bound_e1(ell, u, d1)
-    ratio, lslack = _d3_rate_terms(ell, u)
     closable = _closable_lanes(index.by_end, column, b1)
     unclosable = (math.inf, [])
     for s, e1 in near(t1.end, b1):
@@ -327,11 +324,11 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
         a1 = d1 + e1
         if cap < a1 + to_origin[s]:
             continue
-        lb2, ub2 = bound_d2(ell, u, d1, e1)
+        ub2 = u - a1 + slack
         group = scan[s]
         if s == t1_start:
             group = [t for t in group if t[1] != t1_id]
-        for d2, t2_id, t2_end in group[bisect_left(group, (lb2,)):]:
+        for d2, t2_id, t2_end in group:
             if d2 > ub2:
                 break
             v2 += 1
@@ -351,12 +348,8 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
                 if cap < a3 + to_origin[s2]:
                     continue
                 ub4 = u - a3 + slack
-                if group2[0][0] > ub4:
-                    continue
                 if s2 == t1_start or s2 == s:
                     group2 = [t for t in group2 if t[1] != t1_id and t[1] != t2_id]
-                lb4 = ratio * (e1 + e2) - num2 - lslack
-                group2 = group2 if lb4 <= 0.0 else group2[bisect_left(group2, (lb4,)):]
                 for d3, t3_id, t3_end in group2:
                     if d3 > ub4:
                         break
@@ -371,7 +364,6 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
                                 ell = floor
                                 b1 = bound_e1(ell, u, d1)
                                 b3 = bound_e2(ell, u, d1, e1, d2)
-                                ratio, lslack = _d3_rate_terms(ell, u)
     return v1, v2, v3, v4
 
 

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import random
 import re
 from pathlib import Path
 
@@ -269,6 +271,47 @@ def test_match_every_backend_prints_the_same_set(runner, tmp_path, algo):
     assert f"algo={algo}" in res.output
     records = [json.loads(line) for line in res.output.splitlines() if line.startswith("{")]
     assert {(r["t2"], r["t3"]) for r in records} == {("BC", "CA"), ("BC", "CD")}
+
+
+def write_shrunk_pair_files(root: Path):
+    """40 planar bases with one pair's distance shrunk to 0.2x: symmetric and,
+    on `validate`'s 1,000 sampled triples, metric. The shrunk pair is a lane."""
+    rng = random.Random(3)
+    pts = [(round(rng.uniform(0, 100), 1), round(rng.uniform(0, 100), 1)) for _ in range(40)]
+    d = [[round(math.dist(p, q), 3) for q in pts] for p in pts]
+    i, j = rng.sample(range(40), 2)
+    d[i][j] = d[j][i] = round(d[i][j] * 0.2, 3)
+    pairs = {(i, j)}
+    while len(pairs) < 60:
+        pairs.add(tuple(rng.sample(range(40), 2)))
+    (root / "bases.csv").write_text("base_id\n" + "".join(f"b{n:02d}\n" for n in range(40)))
+    (root / "matrix.csv").write_text("".join(",".join(map(repr, row)) + "\n" for row in d))
+    (root / "lanes.csv").write_text("lane_id,origin_base_id,dest_base_id\n" + "".join(
+        f"l{n:03d},b{a:02d},b{b:02d}\n" for n, (a, b) in enumerate(sorted(pairs))))
+
+
+def test_match_on_a_validated_matrix_prints_what_brute_force_prints(runner, tmp_path):
+    """l047 and l020 are the shrunk pair b32 -> b17 and back. After l047 the
+    cycle is at b17, 88.863 from the client's start, with 54.017 spent of
+    u = 130.752, yet it closes at 105.869 through b32. An exit that trusts
+    the triangle inequality would drop it; every backend prints it."""
+    write_shrunk_pair_files(tmp_path)
+    args = ["--bases", str(tmp_path / "bases.csv"), "--lanes", str(tmp_path / "lanes.csv"),
+            "--matrix", str(tmp_path / "matrix.csv")]
+    res = runner.invoke(main, ["validate", *args])
+    assert res.exit_code == 0, res.output
+    assert "validation passed" in res.output
+
+    def records(*flags):
+        res = runner.invoke(main, ["match", "l001", *args, "--l", "0.6", *flags])
+        assert res.exit_code == 0, res.output
+        rows = [json.loads(line) for line in res.output.splitlines() if line.startswith("{")]
+        return sorted((r["t2"], r["t3"], r["ovr"]) for r in rows)
+
+    brute = records("--algo", "brute")
+    assert brute == [("l023", "l008", 0.770701), ("l047", "l020", 0.644098)]
+    assert records() == brute
+    assert records("--k", "5") == brute
 
 
 def test_match_algo_quad_exits_2(runner, tmp_path):

@@ -13,7 +13,7 @@ from trimatch import Query, enumerate_pruned, enumerate_topk
 
 from conftest import gc_instance, pick_lanes
 
-DIGEST = "8346139f2d6e08b5153ef6f91d04b0604b4cc7273328319fa645ed0062501683"
+DIGEST = "820175a64ca59402cfa82a66f19b2c3351aa877746925910ccc3e0c56f19617c"
 
 # mode -> (cap as a multiple of the lane, k, backend)
 MODES = {

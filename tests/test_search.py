@@ -483,3 +483,83 @@ def test_bounded_search_on_asymmetric_matrices_matches_brute_force():
             assert by_rate(pruned) == brute, (seed, lane.id)
             top = enumerate_topk(index, space, Query(q.t1, q.ell, q.u, k=5))
             assert top.triangles == brute[:5], (seed, lane.id)
+
+
+def test_bounded_search_on_a_directed_ring_matches_brute_force():
+    """d(i, j) = (j - i) mod 100 is a quasi-metric: the triangle inequality
+    holds, symmetry does not. (t1, t2, t3) has rate 58/100, yet a d2 lower
+    bound derived from symmetry (3.44 for e1 = 40) would cut t2, whose d2 is 1."""
+    n = 100
+    ids = [f"p{i:03d}" for i in range(n)]
+    space = MetricSpace.from_matrix([Base(b) for b in ids],
+                                    [[float((j - i) % n) for j in range(n)] for i in range(n)])
+    index = build_index([make_lane(i, a, b, space) for i, a, b in (
+        ("t1", "p000", "p001"), ("t2", "p041", "p042"), ("t3", "p043", "p099"))], space)
+    q = Query("t1", 0.55, 1000.0)
+    brute = enumerate_bruteforce(index, space, q).triangles
+    assert [(t.t2, t.t3, t.ovr, t.total) for t in brute] == [("t2", "t3", 0.58, 100.0)]
+    assert enumerate_pruned(index, space, q).triangles == brute
+    assert enumerate_topk(index, space, Query("t1", 0.55, 1000.0, k=5)).triangles == brute
+
+
+def nonmetric_matrix(kind: str, rng: random.Random, n: int) -> list[list[float]]:
+    """A non-negative n x n matrix with a zero diagonal, of one of three kinds:
+    planar points with a few pairs stretched x3 or shrunk x0.2 (symmetric, not
+    metric), a directed ring (metric, not symmetric), or uniform random
+    entries (neither)."""
+    if kind == "planar":
+        pts = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)]
+        d = [[math.dist(p, q) for q in pts] for p in pts]
+        for _ in range(3):
+            i, j = rng.sample(range(n), 2)
+            d[i][j] = d[j][i] = d[i][j] * rng.choice((3.0, 0.2))
+        return d
+    if kind == "ring":
+        step = rng.uniform(1.0, 10.0)
+        return [[step * ((j - i) % n) for j in range(n)] for i in range(n)]
+    return [[0.0 if i == j else rng.uniform(1.0, 100.0) for j in range(n)] for i in range(n)]
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(("planar", "ring", "uniform")))
+@settings(max_examples=60, deadline=None)
+def test_bounded_search_equals_brute_force_on_nonmetric_matrices(seed, kind):
+    """On an explicit matrix every cut the search makes rests on non-negative
+    distances alone, so pruned and topk equal brute force on any matrix the
+    space accepts, whether or not it is symmetric or metric."""
+    rng = random.Random(seed)
+    n = 16
+    ids = [f"b{i:02d}" for i in range(n)]
+    space = MetricSpace.from_matrix([Base(b) for b in ids], nonmetric_matrix(kind, rng, n))
+    pairs = rng.sample([(a, b) for a in ids for b in ids if a != b], 40)
+    index = build_index([make_lane(f"l{i:02d}", a, b, space)
+                         for i, (a, b) in enumerate(pairs)], space)
+    for lane in index.lanes[:5]:
+        for ell in (0.6, 0.75, 0.9):
+            q = Query(lane.id, ell, 4.0 * lane.dist)
+            brute = by_rate(enumerate_bruteforce(index, space, q).triangles)
+            assert by_rate(enumerate_pruned(index, space, q).triangles) == brute
+            top = enumerate_topk(index, space, Query(q.t1, ell, q.u, k=5))
+            assert top.triangles == brute[:5]
+
+
+def test_explicit_marks_a_given_matrix_only():
+    """Only a given matrix is explicit; a great-circle space stays great-circle
+    after it builds its matrix, and a space holding that matrix still runs the
+    triangle-inequality exits: it visits what a space without one visits."""
+    lazy, lazy_index = gc_instance(40, 140, 42)
+    space = MetricSpace.great_circle(lazy.bases)
+    assert not space.explicit and not lazy.explicit
+    space.distance_matrix()
+    assert not space.explicit
+    index = build_index(lazy_index.lanes, space)  # every neighbor row sorted from the matrix
+    assert MetricSpace.from_matrix(space.bases, space.distance_matrix()).explicit
+    assert line_space({"A": 0.0, "B": 1.0}).explicit
+    with pytest.raises(AttributeError):
+        space.explicit = True
+    for lane_id in pick_lanes(index, 5, seed=1):
+        u = 4.0 * index.by_id[lane_id].dist
+        for run, k in ((enumerate_pruned, None), (enumerate_topk, 5)):
+            q = Query(lane_id, 0.8, u, k=k)
+            held, bare = run(index, space, q), run(lazy_index, lazy, q)
+            assert held.triangles == bare.triangles
+            assert held.stats.level_visits == bare.stats.level_visits
