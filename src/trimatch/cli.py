@@ -8,10 +8,11 @@ failure.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 from time import perf_counter
@@ -125,39 +126,45 @@ def _triangle_record(tr, shares=None, ell_star=None) -> dict:
     return rec
 
 
-def _write_out(out: str, text: str) -> None:
+@contextmanager
+def _output(out: str | None, inputs: tuple[str | None, ...]):
+    """Stdout, or `out` opened once, before any input is read. An OSError on
+    `out` is an input error, and a failed write leaves the lines before it;
+    one on stdout is click's to handle (a closed pipe exits 1 quietly)."""
+    if not out:
+        stdout = click.get_text_stream("stdout")
+        yield stdout
+        stdout.flush()
+        return
+    if os.path.exists(out) and any(p and os.path.samefile(out, p) for p in inputs):
+        raise InputError(f"--out: {out} is also an input file")
     try:
-        Path(out).write_text(text)
+        with open(out, "w", newline="") as fh:
+            yield fh
     except OSError as exc:
+        if exc.filename not in (None, out):  # an input file's error, not ours
+            raise
         raise InputError(f"--out: cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _emit_records(records: list[dict], fmt: str, out: str | None,
-                  shapley: bool, ranked: bool) -> None:
+def _record_writer(fh, fmt: str, shapley: bool, ranked: bool):
+    """A function writing one `_triangle_record` to `fh` as a line. In CSV
+    the header, which follows the flags alone, is written first."""
     if fmt == "jsonl":
-        lines = [json.dumps(rec) for rec in records]
-        text = "\n".join(lines) + ("\n" if lines else "")
-    else:
-        cols = ["t1", "t2", "t3", "d1", "d2", "d3", "e1", "e2", "e3", "ovr", "total"]
-        if shapley:
-            cols += ["shapley1", "shapley2", "shapley3"]
-        if ranked:
-            cols.append("ell_star")
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(cols)
-        for rec in records:
-            row = [rec["t1"], rec["t2"], rec["t3"], *(f"{v:.3f}" for v in rec["d"] + rec["e"]),
-                   f"{rec['ovr']:.6f}", f"{rec['total']:.3f}"]
-            row += [f"{v:.3f}" for v in rec.get("shapley", ())]
-            if "ell_star" in rec:
-                row.append(f"{rec['ell_star']:.6f}")
-            writer.writerow(row)
-        text = buf.getvalue()
-    if out:
-        _write_out(out, text)
-    else:
-        click.echo(text, nl=False)
+        return lambda rec: fh.write(json.dumps(rec) + "\n")
+    writer = csv.writer(fh)
+    writer.writerow(["t1", "t2", "t3", "d1", "d2", "d3", "e1", "e2", "e3", "ovr", "total",
+                     *(("shapley1", "shapley2", "shapley3") if shapley else ()),
+                     *(("ell_star",) if ranked else ())])
+
+    def write(rec):
+        row = [rec["t1"], rec["t2"], rec["t3"], *(f"{v:.3f}" for v in rec["d"] + rec["e"]),
+               f"{rec['ovr']:.6f}", f"{rec['total']:.3f}"]
+        row += [f"{v:.3f}" for v in rec.get("shapley", ())]
+        if "ell_star" in rec:
+            row.append(f"{rec['ell_star']:.6f}")
+        writer.writerow(row)
+    return write
 
 
 @main.command()
@@ -236,31 +243,28 @@ def match(lane_id, bases_path, lanes_path, matrix_path, ell, u_km, u_factor,
         raise InputError("--algo topk requires --k")
     if algo != "topk" and k is not None:
         raise InputError("--k only applies to --algo topk")
-    if out:
-        _write_out(out, "")  # an unwritable path fails before any file is read
+    ranked = algo == "topk"
+    with _output(out, (bases_path, lanes_path, matrix_path)) as fh:
+        space = _load_space(bases_path, matrix_path, force)
+        index = _load_index(lanes_path, space)
+        if lane_id not in index.by_id:
+            raise InputError(f"unknown lane id {lane_id!r}")
+        u = _cap(u_km, u_factor, index.by_id[lane_id])
+        try:
+            query = Query(lane_id, ell, u, k)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
 
-    space = _load_space(bases_path, matrix_path, force)
-    index = _load_index(lanes_path, space)
-    if lane_id not in index.by_id:
-        raise InputError(f"unknown lane id {lane_id!r}")
-    u = _cap(u_km, u_factor, index.by_id[lane_id])
-    try:
-        query = Query(lane_id, ell, u, k)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        if ranked:  # called by name, so wrappers around cli.enumerate_topk see it
+            rs = enumerate_topk(index, space, query)
+        else:
+            rs = BACKENDS[algo](index, space, query)
 
-    if algo == "topk":  # called by name, so wrappers around cli.enumerate_topk see it
-        rs = enumerate_topk(index, space, query)
-    else:
-        rs = BACKENDS[algo](index, space, query)
-
-    records = []
-    for tr in rs.triangles:
-        shares = shapley_split(tr, index, space).shares if shapley else None
-        records.append(_triangle_record(
-            tr, shares, rs.ell_star if algo == "topk" else None))
-    _emit_records(records, fmt, out, shapley, algo == "topk")
-    click.echo(f"{len(records)} triangles (ell={ell}, u={u:.3f}, algo={algo})", err=True)
+        write = _record_writer(fh, fmt, shapley, ranked)
+        for tr in rs.triangles:
+            shares = shapley_split(tr, index, space).shares if shapley else None
+            write(_triangle_record(tr, shares, rs.ell_star if ranked else None))
+    click.echo(f"{len(rs.triangles)} triangles (ell={ell}, u={u:.3f}, algo={algo})", err=True)
 
 
 @main.command()
@@ -289,35 +293,30 @@ def bench(bases_path, lanes_path, matrix_path, queries, seed, algos, ells,
           u_factor, u_km, k, out, fmt, force):
     """Run a query batch over a rate grid and summarize per grid cell."""
     u_factor = _u_factor(u_km, u_factor)
-    if out:
-        _write_out(out, "")  # an unwritable path fails before any file is read
-    space = _load_space(bases_path, matrix_path, force)
-    build_start = perf_counter()
-    index = _load_index(lanes_path, space)
-    build_seconds = perf_counter() - build_start
-    click.echo(f"index: {len(index.lanes)} lanes over {len(space)} bases, "
-               f"built in {build_seconds:.3f}s")
-    try:
-        lane_ids = sample_query_lanes(index, queries, seed)
-        for lane_id in lane_ids:  # every cap is checked before the batch runs
-            _cap(u_km, u_factor, index.by_id[lane_id])
-        rows = run_queries(index, space, lane_ids, algos, ells or DEFAULT_ELL_GRID,
-                           u_factor=u_factor, u_km=u_km, k=k)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    with _output(out, (bases_path, lanes_path, matrix_path)) as fh:
+        space = _load_space(bases_path, matrix_path, force)
+        build_start = perf_counter()
+        index = _load_index(lanes_path, space)
+        build_seconds = perf_counter() - build_start
+        click.echo(f"index: {len(index.lanes)} lanes over {len(space)} bases, "
+                   f"built in {build_seconds:.3f}s")
+        try:
+            lane_ids = sample_query_lanes(index, queries, seed)
+            for lane_id in lane_ids:  # every cap is checked before the batch runs
+                _cap(u_km, u_factor, index.by_id[lane_id])
+            rows = run_queries(index, space, lane_ids, algos, ells or DEFAULT_ELL_GRID,
+                               u_factor=u_factor, u_km=u_km, k=k)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
 
-    if out:
-        if fmt == "jsonl":
-            text = "".join(json.dumps(row_to_dict(r)) + "\n" for r in rows)
-        else:
-            buf = io.StringIO()
-            writer = csv.DictWriter(buf, [f.name for f in fields(QueryRow)])
+        if out and fmt == "jsonl":
+            fh.writelines(json.dumps(row_to_dict(r)) + "\n" for r in rows)
+        elif out:
+            writer = csv.DictWriter(fh, [f.name for f in fields(QueryRow)])
             writer.writeheader()
-            for r in rows:
-                writer.writerow({**row_to_dict(r), "u": f"{r.u:.3f}",
-                                 "level_visits": "/".join(map(str, r.level_visits))})
-            text = buf.getvalue()
-        _write_out(out, text)
+            writer.writerows({**row_to_dict(r), "u": f"{r.u:.3f}",
+                              "level_visits": "/".join(map(str, r.level_visits))} for r in rows)
+    if out:
         click.echo(f"rows: {len(rows)} written to {out}")
 
     cells = aggregate(rows)

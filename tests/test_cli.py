@@ -443,6 +443,55 @@ def test_match_checks_out_before_reading_any_file(runner, tmp_path):
     assert "nowhere" not in res.output and "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("command,name", [
+    ("match", "bases.csv"), ("match", "lanes.csv"), ("match", "matrix.csv"),
+    ("bench", "lanes.csv"), ("bench", "alias.csv"),
+])
+def test_out_naming_an_input_exits_2_and_leaves_it(runner, tmp_path, monkeypatch,
+                                                    command, name):
+    """`alias.csv` is a hard link to lanes.csv: the same file by another name."""
+    write_tri4_files(tmp_path)
+    (tmp_path / "alias.csv").hardlink_to(tmp_path / "lanes.csv")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def no_read(path):
+        raise AssertionError(f"read {path} before checking --out")
+
+    monkeypatch.setattr(cli, "load_bases_csv", no_read)
+    call = ["match", "AB", "--l", "0.9"] if command == "match" else ["bench", "--queries", "1"]
+    res = runner.invoke(main, [*call, *tri4_args(tmp_path), "--out", str(tmp_path / name)])
+    assert res.exit_code == 2, res.output
+    assert f"--out: {tmp_path / name} is also an input file" in res.output
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_an_input_files_os_error_is_not_blamed_on_out(runner, tmp_path, monkeypatch):
+    write_tri4_files(tmp_path)
+
+    def vanished(path):
+        raise FileNotFoundError(2, "No such file or directory", path)
+
+    monkeypatch.setattr(cli, "load_bases_csv", vanished)
+    res = runner.invoke(main, ["match", "AB", *tri4_args(tmp_path), "--l", "0.9",
+                               "--out", str(tmp_path / "out.jsonl")])
+    assert isinstance(res.exception, FileNotFoundError)
+    assert res.exception.filename == str(tmp_path / "bases.csv")
+    assert "--out" not in res.output
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("call", [("match", "AB", "--l", "0.9"),
+                                  ("bench", "--queries", "2", "--l", "0.9")])
+def test_a_failed_write_to_out_exits_2(runner, tmp_path, call):
+    """/dev/full opens but refuses every write: the error surfaces while the
+    rows are written, after the inputs were read and searched."""
+    write_tri4_files(tmp_path)
+    res = runner.invoke(main, [*call, *tri4_args(tmp_path), "--out", "/dev/full"])
+    assert res.exit_code == 2, res.output
+    assert "--out: cannot write /dev/full" in res.output
+    assert "Traceback" not in res.output
+
+
 @pytest.mark.parametrize("flags", [["--shapley"], ["--k", "3"], ["--k", "3", "--shapley"]])
 def test_match_csv_header_does_not_depend_on_the_result(runner, tmp_path, flags):
     write_tri4_files(tmp_path)

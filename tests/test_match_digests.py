@@ -1,7 +1,7 @@
-"""Pin the bytes `trimatch match` writes: sha256 of stdout for five calls on a
-seeded `gen` instance (40 bases, 160 lanes, seed 7; lane l0010 at ell 0.8,
-where pruned finds 68 triangles). A change to these digests is a change to
-the CLI's output and must be made on purpose."""
+"""Pin the bytes `trimatch match` writes: sha256 of stdout, and of the `--out`
+file, for five calls on a seeded `gen` instance (40 bases, 160 lanes, seed 7;
+lane l0010 at ell 0.8, where pruned finds 68 triangles). A change to these
+digests is a change to the CLI's output and must be made on purpose."""
 
 import hashlib
 
@@ -39,3 +39,14 @@ def test_match_stdout_digest(instance, extra, digest):
                                     "--lanes", str(instance / "lanes.csv"), "--l", "0.8", *extra])
     assert res.exit_code == 0, res.output
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+
+@pytest.mark.parametrize("extra,digest", DIGESTS, ids=[" ".join(e) for e, _ in DIGESTS])
+def test_match_out_file_digest(instance, tmp_path, extra, digest):
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, ["match", "l0010", "--bases", str(instance / "bases.csv"),
+                                    "--lanes", str(instance / "lanes.csv"), "--l", "0.8", *extra,
+                                    "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert res.stdout_bytes == b""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
