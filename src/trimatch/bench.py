@@ -56,7 +56,9 @@ def sample_query_lanes(index: LaneIndex, count: int, seed: int) -> list[str]:
 def run_queries(index: LaneIndex, space: MetricSpace, lane_ids, algos, ells,
                 u_factor: float | None = 4.0, u_km: float | None = None,
                 k: int | None = None) -> list[QueryRow]:
-    """One row per (ell, algo, lane). All cells see the identical query list."""
+    """One row per (ell, algo, lane). All cells see the identical query list.
+    A repeated ell or algo is run once, in the order first given."""
+    ells, algos = dict.fromkeys(ells), dict.fromkeys(algos)
     for algo in algos:
         if algo not in BACKENDS:
             raise ValueError(f"unknown algorithm {algo!r}")

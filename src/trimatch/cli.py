@@ -1,8 +1,9 @@
 """Command line surface: instance generation, metric validation, single
 matching requests, and batch benchmarking.
 
-Exit codes: 0 success, 2 usage or input error, 3 metric/data validation
-failure.
+Exit codes: 0 success, 2 usage or input error, 3 a `validate` that found a
+metric or lane-file fault. `match` and `bench` answer on any matrix the
+loader accepts, since the search needs only non-negative distances.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def main():
     """Find triangular transports for full-truckload lanes."""
 
 
-def _read_space(bases_path: str, matrix_path: str | None) -> MetricSpace:
+def _load_space(bases_path: str, matrix_path: str | None) -> MetricSpace:
     """Matrix distances when a matrix file is given, else great-circle ones."""
     try:
         bases = load_bases_csv(bases_path)
@@ -51,19 +52,6 @@ def _read_space(bases_path: str, matrix_path: str | None) -> MetricSpace:
         return MetricSpace.from_matrix(bases, matrix)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-
-def _load_space(bases_path: str, matrix_path: str | None, force: bool) -> MetricSpace:
-    space = _read_space(bases_path, matrix_path)
-    if matrix_path is not None:
-        # vets the user's data; the search is exact on any matrix, --force or not
-        report = validate_metric(space)
-        if not report.ok:
-            click.echo(report.summary(), err=True)
-            if not force:
-                click.echo("metric validation failed (use --force to proceed)", err=True)
-                sys.exit(3)
-    return space
 
 
 class _Float(click.ParamType):
@@ -199,7 +187,7 @@ def gen(n_bases, n_lanes, seed, out):
 @click.option("--force", is_flag=True, help="Report violations but exit 0.")
 def validate(bases_path, lanes_path, matrix_path, samples, seed, force):
     """Check the metric axioms and lane-file integrity."""
-    space = _read_space(bases_path, matrix_path)
+    space = _load_space(bases_path, matrix_path)
     report = validate_metric(space, samples=samples, seed=seed)
     click.echo(report.summary())
     lane_trouble = None
@@ -233,9 +221,8 @@ def validate(bases_path, lanes_path, matrix_path, samples, seed, force):
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default="jsonl",
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--force", is_flag=True, help="Skip the metric gate on matrix inputs.")
 def match(lane_id, bases_path, lanes_path, matrix_path, ell, u_km, u_factor,
-          k, algo, shapley, fmt, out, force):
+          k, algo, shapley, fmt, out):
     """List feasible triangular transports containing LANE_ID."""
     u_factor = _u_factor(u_km, u_factor)
     algo = algo or ("topk" if k is not None else "pruned")
@@ -245,15 +232,12 @@ def match(lane_id, bases_path, lanes_path, matrix_path, ell, u_km, u_factor,
         raise InputError("--k only applies to --algo topk")
     ranked = algo == "topk"
     with _output(out, (bases_path, lanes_path, matrix_path)) as fh:
-        space = _load_space(bases_path, matrix_path, force)
+        space = _load_space(bases_path, matrix_path)
         index = _load_index(lanes_path, space)
         if lane_id not in index.by_id:
             raise InputError(f"unknown lane id {lane_id!r}")
         u = _cap(u_km, u_factor, index.by_id[lane_id])
-        try:
-            query = Query(lane_id, ell, u, k)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        query = Query(lane_id, ell, u, k)
 
         if ranked:  # called by name, so wrappers around cli.enumerate_topk see it
             rs = enumerate_topk(index, space, query)
@@ -288,13 +272,12 @@ def match(lane_id, bases_path, lanes_path, matrix_path, ell, u_km, u_factor,
               help="Write per-query rows here.")
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default="jsonl",
               show_default=True)
-@click.option("--force", is_flag=True)
 def bench(bases_path, lanes_path, matrix_path, queries, seed, algos, ells,
-          u_factor, u_km, k, out, fmt, force):
+          u_factor, u_km, k, out, fmt):
     """Run a query batch over a rate grid and summarize per grid cell."""
     u_factor = _u_factor(u_km, u_factor)
     with _output(out, (bases_path, lanes_path, matrix_path)) as fh:
-        space = _load_space(bases_path, matrix_path, force)
+        space = _load_space(bases_path, matrix_path)
         build_start = perf_counter()
         index = _load_index(lanes_path, space)
         build_seconds = perf_counter() - build_start

@@ -41,6 +41,17 @@ def test_run_queries_row_shape():
         run_queries(index, space, lanes, ["topk"], [0.8])  # k missing
 
 
+def test_run_queries_runs_a_repeated_grid_value_once():
+    space, index = gc_instance(20, 60, seed=56)
+    lanes = sample_query_lanes(index, 3, seed=1)
+    rows = run_queries(index, space, lanes, ["topk", "pruned", "topk"],
+                       [0.9, 0.8, 0.9, 0.9], k=3)
+    assert [(r.ell, r.algo, r.lane) for r in rows] == [
+        (ell, algo, lane) for ell in (0.9, 0.8) for algo in ("topk", "pruned")
+        for lane in lanes]
+    assert all(cell.queries == 3 for cell in aggregate(rows).values())
+
+
 def test_aggregates_recomputable_from_rows():
     space, index = gc_instance(25, 80, seed=57)
     lanes = sample_query_lanes(index, 8, seed=2)

@@ -314,6 +314,40 @@ def test_match_on_a_validated_matrix_prints_what_brute_force_prints(runner, tmp_
     assert records("--k", "5") == brute
 
 
+def test_match_and_bench_answer_on_a_matrix_validate_refuses(runner, tmp_path):
+    """d(a,a) = 0.5, d(a,b) = 10 but d(b,a) = 12, and d(d,c) = 30 > 2 + 6 via
+    b: identity, symmetry and the triangle inequality all fail. `validate`
+    says so with exit 3; `match` and `bench` answer, since the search needs
+    only non-negative distances."""
+    (tmp_path / "bases.csv").write_text("base_id\na\nb\nc\nd\n")
+    (tmp_path / "matrix.csv").write_text("0.5,10,4,7\n12,0,6,3\n1,9,0,20\n8,2,30,0\n")
+    (tmp_path / "lanes.csv").write_text("lane_id,origin_base_id,dest_base_id\n" + "".join(
+        f"{o}{d},{o},{d}\n" for o, d in ("ab", "bc", "ca", "cd", "da", "bd")))
+    args = tri4_args(tmp_path)
+    assert runner.invoke(main, ["validate", *args]).exit_code == 3
+
+    def records(*flags):
+        res = runner.invoke(main, ["match", "ab", *args, "--l", "0.5", *flags])
+        assert res.exit_code == 0, res.output
+        assert re.fullmatch(r"\d+ triangles \(ell=0\.5, u=40\.000, algo=\w+\)\n", res.stderr)
+        return [(r["t2"], r["t3"], r["ovr"]) for r in map(json.loads, res.stdout.splitlines())]
+
+    brute = records("--algo", "brute")
+    assert len(brute) == 8
+    assert sorted(records()) == sorted(brute)
+    ranked = sorted(brute, key=lambda r: (-r[2], r[0], r[1]))
+    assert records("--k", "3") == ranked[:3]
+    assert [r[:2] for r in ranked[:3]] == [("bd", "da"), ("bc", "ca"), ("bd", "bc")]
+
+    res = runner.invoke(main, ["bench", *args, "--queries", "6", "--algo", "brute",
+                               "--algo", "pruned", "--algo", "topk"])
+    assert res.exit_code == 0, res.output
+    for call in (["match", "ab", *args, "--l", "0.5"], ["bench", *args]):
+        res = runner.invoke(main, [*call, "--force"])
+        assert res.exit_code == 2
+        assert "No such option '--force'" in res.output
+
+
 def test_match_algo_quad_exits_2(runner, tmp_path):
     write_tri4_files(tmp_path)
     res = runner.invoke(main, ["match", "AB", *tri4_args(tmp_path), "--l", "0.9",

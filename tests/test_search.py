@@ -455,7 +455,7 @@ def test_stats_candidates_totals_level_visits():
 
 def quasi_metric_instance(seed: int, n_bases: int = 12, n_lanes: int = 30):
     """Shortest-path closure of a random complete digraph with integer weights:
-    the triangle inequality holds, symmetry does not (`--force` admits it)."""
+    the triangle inequality holds, symmetry does not (`match` answers on it)."""
     rng = random.Random(seed)
     ids = [f"b{i:02d}" for i in range(n_bases)]
     d = [[0.0 if i == j else float(rng.randint(1, 30)) for j in range(n_bases)]
