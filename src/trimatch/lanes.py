@@ -4,9 +4,9 @@ For every base b the index keeps the list of lane-start bases ordered by
 distance from b, and for every start base s the lanes leaving s ordered by
 lane length, as `Lane`s and as the plain tuples the search reads. Both lists
 answer range queries with a binary search, so the enumeration backends only
-ever touch candidates inside their bounds. When the space already holds its
-distance matrix, `build_index` sorts every base's list up front; otherwise a
-list is built the first time it is read, and only as far as the reader's
+ever touch candidates inside their bounds. The space builds the first list
+(`trimatch.metric._NeighborRows`): all of it up front when it holds its
+distance matrix, else each row on first read, only as far as the reader's
 bound reaches. The same tuples are also grouped by end base, in the space's
 position order, so a search can find the lanes that end near a base from
 that base's distance column.
@@ -15,15 +15,12 @@ that base's distance column.
 from __future__ import annotations
 
 import csv
-import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 
-from .metric import MetricSpace, UnknownBaseError, _young_gc_off, open_csv
+from .metric import MetricSpace, UnknownBaseError, _NeighborRows, open_csv
 
 
 class UnknownLaneError(LookupError):
@@ -48,58 +45,6 @@ def make_lane(lane_id: str, start: str, end: str, space: MetricSpace,
     return Lane(lane_id, start, end, space.distance(start, end), owner)
 
 
-class _NeighborRows(Mapping):
-    """Every base -> [(start base, distance)] sorted by (distance, id).
-
-    `build_index` fills every row when the space holds its matrix. Otherwise
-    `within(b, radius)` builds b's row through `MetricSpace._within` on first
-    read, keeping only the starts within `radius` of b: it measures just the
-    starts inside the latitude band and longitude span that radius allows, so
-    a search pays for the neighborhood its bounds admit rather than for all
-    |starts|. `neighbors[b]` is `within(b, inf)`. Each entry is (reach, row),
-    with every start within `reach` of b in `row` (inf: the whole row), and a
-    read that asks for more rebuilds it. Membership, len and iteration (every
-    base id, in space order) build nothing.
-    """
-
-    def __init__(self, space: MetricSpace, start_ids: list[str], start_pos: list[int],
-                 rows: dict[str, tuple[float, list[tuple[str, float]]]]):
-        self._space = space
-        self._start_ids = start_ids
-        self._start_pos = start_pos
-        self._rows = rows
-
-    @cached_property
-    def _by_lat(self):
-        """The starts by latitude, for `MetricSpace._within`."""
-        return self._space._lat_order(self._start_pos)
-
-    def __getitem__(self, b: str) -> list[tuple[str, float]]:
-        if b not in self._space:
-            raise KeyError(b)
-        return self.within(b, math.inf)
-
-    def within(self, b: str, radius: float) -> list[tuple[str, float]]:
-        """b's row up to at least `radius`, nearest first: every start within
-        `radius` of b is in it, and any longer entries come after them."""
-        entry = self._rows.get(b)
-        if entry is not None and entry[0] >= radius:
-            return entry[1]
-        start_ids = self._start_ids
-        row = [(start_ids[i], d) for d, i in self._space._within(b, radius, self._by_lat)]
-        self._rows[b] = (radius, row)
-        return row
-
-    def __contains__(self, b: object) -> bool:
-        return b in self._space
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._space.base_ids)
-
-    def __len__(self) -> int:
-        return len(self._space)
-
-
 @dataclass
 class LaneIndex:
     """Built by build_index; safe to share across concurrent queries.
@@ -120,7 +65,8 @@ class LaneIndex:
     by_end         per base, in the space's position order: (start, scan tuple)
                    of every lane ending there; the bounded search zips it with
                    a distance column to find the lanes that end near a base
-    neighbors      every base -> [(start base, distance)] sorted by (distance, id);
+    neighbors      every base -> [(start base, distance)] sorted by (distance, id),
+                   built by the space (`metric._NeighborRows`);
                    `within(b, radius)` gives the row up to at least `radius`
     """
 
@@ -152,16 +98,7 @@ def build_index(lanes, space: MetricSpace) -> LaneIndex:
     for group in by_start.values():  # stable over lanes in id order: ties stay in id order
         group.sort(key=attrgetter("dist"))
 
-    start_ids = sorted(by_start)
-    start_pos = [space.index_of(s) for s in start_ids]
-    rows: dict[str, tuple[float, list[tuple[str, float]]]] = {}
-    if space._dcache is not None:  # the distances are paid for: sort every row now
-        # a stable sort over starts in id order keeps ties in id order
-        with _young_gc_off():
-            rows = {b: (math.inf, sorted(zip(start_ids, map(row.__getitem__, start_pos)),
-                                         key=itemgetter(1)))
-                    for b, row in zip(space.base_ids, space._dcache)}
-
+    neighbors = _NeighborRows(space, sorted(by_start))
     scan = {s: [(l.dist, l.id, l.end) for l in group] for s, group in by_start.items()}
     ends: dict[str, list[tuple[str, tuple[float, str, str]]]] = {}
     for s, group in scan.items():
@@ -174,7 +111,7 @@ def build_index(lanes, space: MetricSpace) -> LaneIndex:
         by_start=by_start,
         scan=scan,
         by_end=[ends.get(b, []) for b in space.base_ids],
-        neighbors=_NeighborRows(space, start_ids, start_pos, rows),
+        neighbors=neighbors,
     )
 
 

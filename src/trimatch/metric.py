@@ -1,9 +1,12 @@
-"""Finite metric space over transportation bases.
+"""Finite metric space over transportation bases, and its neighbor rows.
 
 Two distance providers are supported: great-circle distance from WGS84
 coordinates, and an explicit square kilometre matrix. The search is exact on
 any matrix the space accepts (see `trimatch.search`), so the axiom checker
-here vets a user's data, not a premise of the search.
+here vets a user's data, not a premise of the search. `_NeighborRows` lists
+a set of start bases by distance from each base: sorted up front from the
+matrix when the space holds one, else measured on first read, and only
+inside the latitude band and longitude span the reader's radius allows.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ import math
 import random
 import threading
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 EARTH_RADIUS_KM = 6371.0088
@@ -45,7 +50,7 @@ _GC_SWITCH = threading.Lock()
 def _young_gc_off():
     """Make many new acyclic containers without a cyclic collection traversing
     them. `MetricSpace.distance_matrix` pauses the GC to build its rows, and
-    `build_index` to sort every neighbor row at once.
+    `_NeighborRows` to sort every row from the matrix at once.
 
     The GC is paused while they are made, then freeze + unfreeze moves every
     tracked object, these included, to the oldest generation in O(1), so no
@@ -205,29 +210,6 @@ class MetricSpace:
             row = self._rows[j] = _great_circle_row(self._points[j], self._points)
         return row
 
-    def _lat_order(self, positions: list[int]) -> tuple[list[float], list[tuple]]:
-        """The bases at `positions` by latitude, for `_within`: their latitudes
-        ascending, and (index into positions, (lat, lon, cos(phi))) of each."""
-        points = self._points
-        order = sorted(range(len(positions)), key=lambda i: points[positions[i]][0])
-        return [points[positions[i]][0] for i in order], [(i, points[positions[i]]) for i in order]
-
-    def _within(self, base_id: str, radius: float, lat_order) -> list[tuple[float, int]]:
-        """(d, i) for every base of `lat_order` within `radius` great-circle km
-        of base_id, ascending; i is its index into the positions `_lat_order`
-        was given. d is the float `distances_to` gives. Only the bases inside
-        the latitude band and longitude span that `radius` allows are
-        measured."""
-        origin = lat, lon, _ = self._points[self.index_of(base_id)]
-        lats, entries = lat_order
-        reach = _lat_reach_deg(radius)
-        band = entries[bisect_left(lats, lat - reach):bisect_right(lats, lat + reach)]
-        span = _lon_reach_deg(radius, lat, reach)
-        if span < 180.0:  # the short way round, so a span may cross the antimeridian
-            band = [e for e in band if abs((e[1][1] - lon + 180.0) % 360.0 - 180.0) <= span]
-        dists = _great_circle_row(origin, [p for _, p in band])
-        return sorted((d, i) for (i, _), d in zip(band, dists) if d <= radius)
-
 
 def _lat_reach_deg(radius_km: float) -> float:
     """How many degrees of latitude a point within `radius_km` great-circle km
@@ -285,6 +267,77 @@ def _great_circle_matrix(bases: tuple[Base, ...]) -> list[list[float]]:
     return rows
 
 
+class _NeighborRows(Mapping):
+    """Every base -> [(start id, distance)] over the given start ids, sorted
+    by (distance, id).
+
+    When the space holds its matrix, the constructor sorts every row from it.
+    Otherwise `within(b, radius)` builds b's row on first read, keeping only
+    the starts within `radius` of b: it measures just the starts inside the
+    latitude band and longitude span that radius allows, so a search pays for
+    the neighborhood its bounds admit rather than for all |starts|. Each
+    distance is the float `distances_to` gives. `self[b]` is `within(b, inf)`.
+    Each entry is (reach, row), with every start within `reach` of b in `row`
+    (inf: the whole row), and a read that asks for more rebuilds it.
+    Membership, len and iteration (every base id, in space order) build
+    nothing.
+    """
+
+    def __init__(self, space: MetricSpace, start_ids: list[str]):
+        self._space = space
+        self._start_ids = start_ids
+        self._rows: dict[str, tuple[float, list[tuple[str, float]]]] = {}
+        if space._dcache is not None:  # the distances are paid for: sort every row now
+            pos = [space.index_of(s) for s in start_ids]
+            # a stable sort over starts in id order keeps ties in id order
+            with _young_gc_off():
+                self._rows = {b: (math.inf, sorted(zip(start_ids, map(row.__getitem__, pos)),
+                                                   key=itemgetter(1)))
+                              for b, row in zip(space.base_ids, space._dcache)}
+
+    @cached_property
+    def _by_lat(self) -> tuple[list[float], list[tuple[str, tuple[float, float, float]]]]:
+        """The starts by latitude: their latitudes ascending, and
+        (start id, (lat, lon, cos(phi))) of each."""
+        space = self._space
+        entries = sorted(((s, space._points[space.index_of(s)]) for s in self._start_ids),
+                         key=lambda e: e[1][0])
+        return [p[0] for _, p in entries], entries
+
+    def __getitem__(self, b: str) -> list[tuple[str, float]]:
+        if b not in self._space:
+            raise KeyError(b)
+        return self.within(b, math.inf)
+
+    def within(self, b: str, radius: float) -> list[tuple[str, float]]:
+        """b's row up to at least `radius`, nearest first: every start within
+        `radius` of b is in it, and any longer entries come after them."""
+        entry = self._rows.get(b)
+        if entry is not None and entry[0] >= radius:
+            return entry[1]
+        space = self._space
+        origin = lat, lon, _ = space._points[space.index_of(b)]
+        lats, entries = self._by_lat
+        reach = _lat_reach_deg(radius)
+        band = entries[bisect_left(lats, lat - reach):bisect_right(lats, lat + reach)]
+        span = _lon_reach_deg(radius, lat, reach)
+        if span < 180.0:  # the short way round, so a span may cross the antimeridian
+            band = [e for e in band if abs((e[1][1] - lon + 180.0) % 360.0 - 180.0) <= span]
+        dists = _great_circle_row(origin, [p for _, p in band])
+        row = [(s, d) for d, s in sorted((d, s) for (s, _), d in zip(band, dists) if d <= radius)]
+        self._rows[b] = (radius, row)
+        return row
+
+    def __contains__(self, b: object) -> bool:
+        return b in self._space
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._space.base_ids)
+
+    def __len__(self) -> int:
+        return len(self._space)
+
+
 @dataclass(frozen=True)
 class Violation:
     kind: str  # identity | symmetry | triangle
@@ -338,7 +391,7 @@ def validate_metric(space: MetricSpace, samples: int = 1000, seed: int = 0) -> V
         report.identity_checks += 1
         v = space._pair(i, i)
         if v != 0.0:
-            add("identity", (ids[i],), f"d(a,a) = {v!r}")
+            add("identity", (ids[i],), f"d({ids[i]},{ids[i]}) = {v!r}")
 
     if n >= 2:
         if n <= 1000:
@@ -350,7 +403,8 @@ def validate_metric(space: MetricSpace, samples: int = 1000, seed: int = 0) -> V
             dij = space._pair(i, j)
             dji = space._pair(j, i)
             if dij != dji:
-                add("symmetry", (ids[i], ids[j]), f"d(a,b) = {dij!r} but d(b,a) = {dji!r}")
+                add("symmetry", (ids[i], ids[j]),
+                    f"d({ids[i]},{ids[j]}) = {dij!r} but d({ids[j]},{ids[i]}) = {dji!r}")
 
     if n >= 3:
         for _ in range(samples):
@@ -360,8 +414,9 @@ def validate_metric(space: MetricSpace, samples: int = 1000, seed: int = 0) -> V
             dab = space._pair(a, b)
             dbc = space._pair(b, c)
             if dac > dab + dbc + BOUND_SLACK * dac:
-                add("triangle", (ids[a], ids[c]),
-                    f"d(a,c) = {dac!r} > {dab!r} + {dbc!r} via {ids[b]}")
+                x, y, z = ids[a], ids[b], ids[c]
+                add("triangle", (x, z),
+                    f"d({x},{z}) = {dac!r} > d({x},{y}) + d({y},{z}) = {dab!r} + {dbc!r} via {y}")
     return report
 
 

@@ -12,7 +12,7 @@ from trimatch import (Base, Lane, MetricSpace, Query, UnknownBaseError, build_in
                       neighbors_within)
 from trimatch import metric
 from trimatch.generate import generate_instance
-from trimatch.lanes import _young_gc_off
+from trimatch.metric import _young_gc_off
 
 from conftest import gc_instance, line_space
 
@@ -251,6 +251,25 @@ def test_a_row_within_a_small_radius_computes_few_distances(monkeypatch):
     assert row == neighbors_within(index, b, 100.0)
     assert len(asked) == 1 and 0 < asked[0] < len(index.by_start) // 10
     assert rows_built(space, index) == (0, 1)
+
+
+def test_an_index_on_a_held_matrix_sorts_its_rows_from_it(monkeypatch):
+    bases, rows = generate_instance(60, 200, seed=9)
+    space = MetricSpace.great_circle(bases)
+    space.distance_matrix()
+    lanes = [make_lane(lid, s, e, space) for lid, s, e in rows]
+    asked = []
+    real = metric._great_circle_row
+    monkeypatch.setattr(metric, "_great_circle_row",
+                        lambda origin, points: asked.append(len(points)) or real(origin, points))
+    index = build_index(lanes, space)
+    for b in space.base_ids:
+        assert len(index.neighbors[b]) == len(index.by_start)
+        assert index.neighbors.within(b, 500.0) is index.neighbors[b]
+        assert neighbors_within(index, b, 500.0) == \
+            [(s, d) for s, d in index.neighbors[b] if d <= 500.0]
+    assert asked == []
+    assert rows_built(space, index) == (0, len(bases))
 
 
 def test_lanes_in_range_binary_search_positions():

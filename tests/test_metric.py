@@ -193,6 +193,32 @@ def test_validate_flags_triangle_violation():
     assert "via 1" in triangle[0].detail
 
 
+def test_validate_details_name_the_pair_they_measured():
+    """Each detail writes the ids of its own report line, with the distances
+    between exactly those bases."""
+    matrix = [[0.5, 10.0, 4.0, 7.0], [12.0, 0.0, 6.0, 3.0],
+              [1.0, 9.0, 0.0, 20.0], [8.0, 2.0, 30.0, 0.0]]
+    space = MetricSpace.from_matrix([Base(i) for i in "abcd"], matrix)
+    report = validate_metric(space, samples=1000, seed=0)
+    d = space.distance
+    assert {v.kind for v in report.violations} == {"identity", "symmetry", "triangle"}
+    for v in report.violations:
+        if v.kind == "identity":
+            (x,) = v.ids
+            assert v.detail == f"d({x},{x}) = {d(x, x)!r}"
+        elif v.kind == "symmetry":
+            x, y = v.ids
+            assert v.detail == f"d({x},{y}) = {d(x, y)!r} but d({y},{x}) = {d(y, x)!r}"
+        else:
+            x, z = v.ids
+            y = v.detail.rsplit(" via ", 1)[1]
+            assert v.detail == (f"d({x},{z}) = {d(x, z)!r} > d({x},{y}) + d({y},{z}) = "
+                                f"{d(x, y)!r} + {d(y, z)!r} via {y}")
+    lines = report.summary().splitlines()
+    assert "  symmetry c/d: d(c,d) = 20.0 but d(d,c) = 30.0" in lines
+    assert "  triangle d/c: d(d,c) = 30.0 > d(d,b) + d(b,c) = 2.0 + 6.0 via b" in lines
+
+
 def test_validate_allows_rounding_on_collinear_great_circle_bases():
     # on the equator d(a,c) exceeds d(a,b) + d(b,c) by an ulp for some triples
     space = MetricSpace.great_circle([Base(f"b{i:02d}", 0.0, 130 + 1.25 * i) for i in range(12)])
