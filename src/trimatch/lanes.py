@@ -7,9 +7,11 @@ answer range queries with a binary search, so the enumeration backends only
 ever touch candidates inside their bounds. The space builds the first list
 (`trimatch.metric._NeighborRows`): all of it up front when it holds its
 distance matrix, else each row on first read, only as far as the reader's
-bound reaches. The same tuples are also grouped by end base, in the space's
-position order, so a search can find the lanes that end near a base from
-that base's distance column.
+bound reaches. Each row keeps its start ids and distances as two parallel
+lists, and reads as the list of (id, distance) pairs. The search's lane
+tuples are also grouped by end base, in the space's position order, so a
+search can find the lanes that end near a base from that base's distance
+column.
 """
 
 from __future__ import annotations
@@ -65,9 +67,11 @@ class LaneIndex:
     by_end         per base, in the space's position order: (start, scan tuple)
                    of every lane ending there; the bounded search zips it with
                    a distance column to find the lanes that end near a base
-    neighbors      every base -> [(start base, distance)] sorted by (distance, id),
-                   built by the space (`metric._NeighborRows`);
-                   `within(b, radius)` gives the row up to at least `radius`
+    neighbors      every base -> its row of start bases sorted by (distance, id),
+                   built by the space (`metric._NeighborRows`): a `metric._Row`
+                   of parallel `ids` and `dists` lists that reads as the list
+                   [(start base, distance)]; `within(b, radius)` gives the row
+                   up to at least `radius`
     """
 
     lanes: tuple[Lane, ...]
@@ -119,9 +123,8 @@ def neighbors_within(index: LaneIndex, b: str, radius: float) -> list[tuple[str,
     """Start bases within `radius` km of b, nearest first."""
     if b not in index.neighbors:
         raise UnknownBaseError(f"unknown base id {b!r}")
-    pairs = index.neighbors.within(b, radius)
-    hi = bisect_right(pairs, radius, key=lambda p: p[1])
-    return pairs[:hi]
+    row = index.neighbors.within(b, radius)
+    return row[:bisect_right(row.dists, radius)]
 
 
 def lanes_in_range(index: LaneIndex, s: str, lb: float, ub: float) -> list[Lane]:

@@ -7,6 +7,8 @@ here vets a user's data, not a premise of the search. `_NeighborRows` lists
 a set of start bases by distance from each base: sorted up front from the
 matrix when the space holds one, else measured on first read, and only
 inside the latitude band and longitude span the reader's radius allows.
+Each list is a `_Row`, start ids and distances in two parallel lists, which
+reads as the list of (id, distance) pairs it stores.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ import math
 import random
 import threading
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from pathlib import Path
 
 EARTH_RADIUS_KM = 6371.0088
@@ -128,9 +129,10 @@ class MetricSpace:
             for i, row in enumerate(matrix):
                 if len(row) != len(bases):
                     raise ValueError(f"matrix row {i} has {len(row)} entries, expected {len(bases)}")
-                for v in row:
-                    if not (math.isfinite(v) and v >= 0.0):
-                        raise ValueError(f"matrix row {i} contains invalid distance {v!r}")
+                if not _finite_and_nonnegative(row):  # find the bad value, if any
+                    for v in row:
+                        if not (math.isfinite(v) and v >= 0.0):
+                            raise ValueError(f"matrix row {i} contains invalid distance {v!r}")
         self.bases = bases
         self._pos = {b.id: i for i, b in enumerate(bases)}
         self._dcache: list[list[float]] | None = matrix
@@ -195,20 +197,33 @@ class MetricSpace:
         return [(b.lat, b.lon, math.cos(b.lat * _DEG)) for b in self.bases]
 
     def distances_to(self, base_id: str) -> list[float]:
-        """d(b, base_id) for every base b, in position order.
+        """d(b, base_id) for every base b, in position order. Read it, do not
+        change it: on great circles it is the space's own row.
 
-        With a matrix this is its column, copied per call. Without one it is
-        the base's great-circle row, built on first read and kept: O(|B|)
-        work for one base instead of O(|B|^2) for all. It equals the column
-        bit for bit, since each pair is symmetric.
+        With an explicit matrix this is its column, copied per call. On great
+        circles it is the base's row, which equals the column bit for bit,
+        since each pair is symmetric: row j of a held matrix, which holds the
+        column's own float objects, or else built on first read and kept,
+        O(|B|) work for one base instead of O(|B|^2) for all.
         """
         j = self.index_of(base_id)
         if self._dcache is not None:
-            return [row[j] for row in self._dcache]
+            return [row[j] for row in self._dcache] if self._explicit else self._dcache[j]
         row = self._rows.get(j)
         if row is None:
             row = self._rows[j] = _great_circle_row(self._points[j], self._points)
         return row
+
+
+def _finite_and_nonnegative(row) -> bool:
+    """True when every value in `row` is a finite number >= 0, checked in C:
+    a NaN or an infinity makes the sum non-finite. False when unsure (the
+    sum of large values can overflow, or a value is no float), so callers
+    then check the row value by value."""
+    try:
+        return min(row, default=0.0) >= 0.0 and math.isfinite(sum(row))
+    except (TypeError, OverflowError):
+        return False
 
 
 def _lat_reach_deg(radius_km: float) -> float:
@@ -267,33 +282,71 @@ def _great_circle_matrix(bases: tuple[Base, ...]) -> list[list[float]]:
     return rows
 
 
-class _NeighborRows(Mapping):
-    """Every base -> [(start id, distance)] over the given start ids, sorted
-    by (distance, id).
+class _Row(Sequence):
+    """One neighbor row: start ids and their distances, in two parallel lists
+    in the same order. It reads as the list of (id, distance) pairs it
+    replaces: len, an index gives a pair, a slice a list of pairs, iteration
+    zips the two, and it equals a list of the same pairs or another row. The
+    search zips `ids` and `dists` itself, and `neighbors_within` bisects
+    `dists`, so no read builds the pairs."""
 
-    When the space holds its matrix, the constructor sorts every row from it.
-    Otherwise `within(b, radius)` builds b's row on first read, keeping only
-    the starts within `radius` of b: it measures just the starts inside the
-    latitude band and longitude span that radius allows, so a search pays for
-    the neighborhood its bounds admit rather than for all |starts|. Each
-    distance is the float `distances_to` gives. `self[b]` is `within(b, inf)`.
-    Each entry is (reach, row), with every start within `reach` of b in `row`
-    (inf: the whole row), and a read that asks for more rebuilds it.
-    Membership, len and iteration (every base id, in space order) build
-    nothing.
+    __slots__ = ("ids", "dists")
+
+    def __init__(self, ids: list[str], dists: list[float]):
+        self.ids = ids
+        self.dists = dists
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(zip(self.ids[i], self.dists[i]))
+        return self.ids[i], self.dists[i]
+
+    def __iter__(self) -> Iterator[tuple[str, float]]:
+        return zip(self.ids, self.dists)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Row):
+            return self.ids == other.ids and self.dists == other.dists
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class _NeighborRows(Mapping):
+    """Every base -> its `_Row` over the given start ids, sorted by
+    (distance, id).
+
+    When the space holds its matrix, the constructor sorts every row from it,
+    keeping the matrix's own float objects. Otherwise `within(b, radius)`
+    builds b's row on first read, keeping only the starts within `radius` of
+    b: it measures just the starts inside the latitude band and longitude
+    span that radius allows, so a search pays for the neighborhood its bounds
+    admit rather than for all |starts|. Each distance is the float
+    `distances_to` gives. `self[b]` is `within(b, inf)`. Each entry is
+    (reach, row), with every start within `reach` of b in `row` (inf: the
+    whole row), and a read that asks for more rebuilds it. Membership, len
+    and iteration (every base id, in space order) build nothing.
     """
 
     def __init__(self, space: MetricSpace, start_ids: list[str]):
         self._space = space
         self._start_ids = start_ids
-        self._rows: dict[str, tuple[float, list[tuple[str, float]]]] = {}
+        self._rows: dict[str, tuple[float, _Row]] = {}
         if space._dcache is not None:  # the distances are paid for: sort every row now
+            ids = space.base_ids
             pos = [space.index_of(s) for s in start_ids]
             # a stable sort over starts in id order keeps ties in id order
             with _young_gc_off():
-                self._rows = {b: (math.inf, sorted(zip(start_ids, map(row.__getitem__, pos)),
-                                                   key=itemgetter(1)))
-                              for b, row in zip(space.base_ids, space._dcache)}
+                for b, row in zip(ids, space._dcache):
+                    order = sorted(pos, key=row.__getitem__)
+                    self._rows[b] = (math.inf, _Row(list(map(ids.__getitem__, order)),
+                                                    list(map(row.__getitem__, order))))
 
     @cached_property
     def _by_lat(self) -> tuple[list[float], list[tuple[str, tuple[float, float, float]]]]:
@@ -304,12 +357,12 @@ class _NeighborRows(Mapping):
                          key=lambda e: e[1][0])
         return [p[0] for _, p in entries], entries
 
-    def __getitem__(self, b: str) -> list[tuple[str, float]]:
+    def __getitem__(self, b: str) -> _Row:
         if b not in self._space:
             raise KeyError(b)
         return self.within(b, math.inf)
 
-    def within(self, b: str, radius: float) -> list[tuple[str, float]]:
+    def within(self, b: str, radius: float) -> _Row:
         """b's row up to at least `radius`, nearest first: every start within
         `radius` of b is in it, and any longer entries come after them."""
         entry = self._rows.get(b)
@@ -324,7 +377,8 @@ class _NeighborRows(Mapping):
         if span < 180.0:  # the short way round, so a span may cross the antimeridian
             band = [e for e in band if abs((e[1][1] - lon + 180.0) % 360.0 - 180.0) <= span]
         dists = _great_circle_row(origin, [p for _, p in band])
-        row = [(s, d) for d, s in sorted((d, s) for (s, _), d in zip(band, dists) if d <= radius)]
+        kept = sorted((d, s) for (s, _), d in zip(band, dists) if d <= radius)
+        row = _Row([s for _, s in kept], [d for d, _ in kept])
         self._rows[b] = (radius, row)
         return row
 
@@ -475,15 +529,20 @@ def load_matrix_csv(path: str | Path) -> list[list[float]]:
     rows: list[tuple[int, list[float]]] = []
     with open_csv(path) as reader:
         for rownum, row in enumerate(reader, start=1):
-            values = []
-            for v in row:
-                try:
-                    x = float(v)
-                except ValueError:
-                    x = math.nan
-                if not 0.0 <= x < math.inf:
-                    raise ValueError(f"{path} row {rownum}: bad distance {v!r}")
-                values.append(x)
+            try:
+                values = list(map(float, row))
+            except ValueError:
+                values = None
+            if values is None or not _finite_and_nonnegative(values):
+                values = []  # find the bad value, if any
+                for v in row:
+                    try:
+                        x = float(v)
+                    except ValueError:
+                        x = math.nan
+                    if not 0.0 <= x < math.inf:
+                        raise ValueError(f"{path} row {rownum}: bad distance {v!r}")
+                    values.append(x)
             if values:
                 rows.append((rownum, values))
     if not rows:

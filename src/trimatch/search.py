@@ -317,7 +317,8 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
     b1 = bound_e1(ell, u, d1)
     closable = _closable_lanes(index.by_end, column, b1)
     unclosable = (math.inf, [])
-    for s, e1 in near(t1.end, b1):
+    row = near(t1.end, b1)
+    for s, e1 in zip(row.ids, row.dists):
         if e1 > b1:
             break
         v1 += 1
@@ -337,7 +338,8 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
                 continue
             num2 = d1 + d2
             b3 = bound_e2(ell, u, d1, e1, d2)
-            for s2, e2 in near(t2_end, b3):
+            row2 = near(t2_end, b3)
+            for s2, e2 in zip(row2.ids, row2.dists):
                 if e2 > b3:
                     break
                 v3 += 1

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -270,6 +271,65 @@ def test_an_index_on_a_held_matrix_sorts_its_rows_from_it(monkeypatch):
             [(s, d) for s, d in index.neighbors[b] if d <= 500.0]
     assert asked == []
     assert rows_built(space, index) == (0, len(bases))
+
+
+def bytes_per_neighbor_entry(held: bool) -> float:
+    """Memory the index keeps per neighbor entry on a 300-base great-circle
+    instance, with every row built: sorted up front from a held matrix, or
+    on first read. The space's own distances are made before the count."""
+    bases, rows = generate_instance(300, 1050, seed=9)
+    space = MetricSpace.great_circle(bases)
+    if held:
+        space.distance_matrix()
+    else:
+        for b in space.base_ids:
+            space.distances_to(b)
+    lanes = [make_lane(lid, s, e, space) for lid, s, e in rows]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = build_index(lanes, space)
+        entries = sum(len(index.neighbors[b]) for b in space.base_ids)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert entries == len(bases) * len(index.by_start)
+    return kept / entries
+
+
+def test_rows_from_a_held_matrix_keep_no_tuple_per_entry():
+    # two list slots per entry and the matrix's own floats; a tuple per entry
+    # costs about 66 bytes
+    assert bytes_per_neighbor_entry(held=True) < 32
+
+
+def test_rows_built_on_first_read_keep_no_tuple_per_entry():
+    # two list slots and a new float per entry; a tuple per entry costs about 90
+    assert bytes_per_neighbor_entry(held=False) < 56
+
+
+def test_a_row_reads_as_its_list_of_pairs():
+    space, index = gc_instance(40, 150, seed=4)
+    eager_space, eager = gc_instance(40, 150, seed=4)
+    eager_space.distance_matrix()
+    eager = build_index(eager.lanes, eager_space)
+    for b in space.base_ids:
+        row = index.neighbors[b]
+        pairs = list(zip(row.ids, row.dists))
+        assert len(row) == len(pairs) == len(index.by_start)
+        assert row == pairs and pairs == row and not row != pairs
+        assert row == eager.neighbors[b] and eager.neighbors[b] == row
+        assert row != pairs[:-1] and pairs[1:] != row and row != tuple(pairs)
+        assert list(row) == pairs and repr(row) == repr(pairs)
+        assert row[0] == pairs[0] and row[-1] == pairs[-1] and row[-2] == pairs[-2]
+        assert row[1:4] == pairs[1:4] and row[::-3] == pairs[::-3] and row[5:2] == []
+        assert row[-3:] == pairs[-3:] and type(row[:2]) is list
+        for r in (0.0, 150.0, 600.0, math.inf):
+            assert neighbors_within(index, b, r) == [p for p in index.neighbors[b] if p[1] <= r]
+    with pytest.raises(TypeError):
+        hash(index.neighbors[space.base_ids[0]])
 
 
 def test_lanes_in_range_binary_search_positions():

@@ -125,6 +125,15 @@ def test_distances_to_is_the_matrix_column():
         space.distances_to("ghost")
 
 
+def test_distances_to_is_the_held_great_circle_row():
+    space, _ = gc_instance(30, 10, seed=3)
+    matrix = space.distance_matrix()
+    for j, b in enumerate(space.base_ids):
+        got = space.distances_to(b)
+        assert [x.hex() for x in got] == [row[j].hex() for row in matrix]
+        assert got is matrix[j]
+
+
 def test_from_matrix_serves_the_callers_matrix():
     matrix = [[0.0, 3.0], [3.0, 0.0]]
     space = MetricSpace.from_matrix([Base("1"), Base("0")], matrix)
@@ -242,6 +251,27 @@ def test_matrix_shape_and_sign_checks():
         MetricSpace.from_matrix([Base("0"), Base("1")], [[0.0, 1.0]])
     with pytest.raises(ValueError, match="invalid"):
         MetricSpace.from_matrix([Base("0"), Base("1")], [[0.0, -1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_a_bad_value_in_mid_row_is_named(tmp_path, bad):
+    row = [0.0, 2.0, bad, 3.0]
+    with pytest.raises(ValueError, match=rf"^matrix row 1 contains invalid distance {bad!r}$"):
+        MetricSpace.from_matrix([Base(i) for i in "abcd"], [[0.0] * 4, row, [0.0] * 4, [0.0] * 4])
+    path = tmp_path / "matrix.csv"
+    path.write_text("0,0,0,0\n" + ",".join(map(repr, row)) + "\n0,0,0,0\n0,0,0,0\n")
+    with pytest.raises(ValueError, match=rf"matrix.csv row 2: bad distance '{bad!r}'$"):
+        load_matrix_csv(path)
+
+
+def test_rows_whose_sum_overflows_and_negative_zero_are_accepted(tmp_path):
+    matrix = [[0.0, 1e308, 1e308], [1e308, -0.0, 1e308], [1e308, 1e308, 0.0]]
+    space = MetricSpace.from_matrix([Base(i) for i in "abc"], matrix)
+    assert space.distance("a", "c") == 1e308 and space.distance("b", "b") == 0.0
+    path = tmp_path / "matrix.csv"
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in matrix))
+    loaded = load_matrix_csv(path)
+    assert [[x.hex() for x in row] for row in loaded] == [[x.hex() for x in row] for row in matrix]
 
 
 def test_from_matrix_rejects_a_missing_matrix():
