@@ -99,21 +99,6 @@ def _load_index(lanes_path: str, space: MetricSpace) -> LaneIndex:
         raise InputError(str(exc)) from exc
 
 
-def _triangle_record(tr, shares=None, ell_star=None) -> dict:
-    rec = {
-        "t1": tr.t1, "t2": tr.t2, "t3": tr.t3,
-        "d": [round(tr.d1, 3), round(tr.d2, 3), round(tr.d3, 3)],
-        "e": [round(tr.e1, 3), round(tr.e2, 3), round(tr.e3, 3)],
-        "ovr": round(tr.ovr, 6),
-        "total": round(tr.total, 3),
-    }
-    if shares is not None:
-        rec["shapley"] = [round(s, 3) for s in shares]
-    if ell_star is not None:
-        rec["ell_star"] = round(ell_star, 6)
-    return rec
-
-
 @contextmanager
 def _output(out: str | None, inputs: tuple[str | None, ...]):
     """Stdout, or `out` opened once, before any input is read. An OSError on
@@ -135,23 +120,34 @@ def _output(out: str | None, inputs: tuple[str | None, ...]):
         raise InputError(f"--out: cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _record_writer(fh, fmt: str, shapley: bool, ranked: bool):
-    """A function writing one `_triangle_record` to `fh` as a line. In CSV
-    the header, which follows the flags alone, is written first."""
+def _line_writer(fh, fmt: str, shapley: bool, ell_star: float | None):
+    """A function `write(tr, shares)` writing one triangle, with its Shapley
+    shares or None, to `fh` as a line. In CSV the header, which follows the
+    flags alone, is written first."""
     if fmt == "jsonl":
-        return lambda rec: fh.write(json.dumps(rec) + "\n")
+        def write(tr, shares):
+            rec = {"t1": tr.t1, "t2": tr.t2, "t3": tr.t3,
+                   "d": [round(tr.d1, 3), round(tr.d2, 3), round(tr.d3, 3)],
+                   "e": [round(tr.e1, 3), round(tr.e2, 3), round(tr.e3, 3)],
+                   "ovr": round(tr.ovr, 6), "total": round(tr.total, 3)}
+            if shares is not None:
+                rec["shapley"] = [round(s, 3) for s in shares]
+            if ell_star is not None:
+                rec["ell_star"] = round(ell_star, 6)
+            fh.write(json.dumps(rec) + "\n")
+        return write
     writer = csv.writer(fh)
     writer.writerow(["t1", "t2", "t3", "d1", "d2", "d3", "e1", "e2", "e3", "ovr", "total",
                      *(("shapley1", "shapley2", "shapley3") if shapley else ()),
-                     *(("ell_star",) if ranked else ())])
+                     *(("ell_star",) if ell_star is not None else ())])
+    tail = () if ell_star is None else (f"{ell_star:.6f}",)
 
-    def write(rec):
-        row = [rec["t1"], rec["t2"], rec["t3"], *(f"{v:.3f}" for v in rec["d"] + rec["e"]),
-               f"{rec['ovr']:.6f}", f"{rec['total']:.3f}"]
-        row += [f"{v:.3f}" for v in rec.get("shapley", ())]
-        if "ell_star" in rec:
-            row.append(f"{rec['ell_star']:.6f}")
-        writer.writerow(row)
+    def write(tr, shares):
+        # f"{v:.3f}" prints what f"{round(v, 3):.3f}" of the JSONL value prints
+        writer.writerow([tr.t1, tr.t2, tr.t3,
+                         *(f"{v:.3f}" for v in (tr.d1, tr.d2, tr.d3, tr.e1, tr.e2, tr.e3)),
+                         f"{tr.ovr:.6f}", f"{tr.total:.3f}",
+                         *(f"{s:.3f}" for s in shares or ()), *tail])
     return write
 
 
@@ -230,7 +226,6 @@ def match(lane_id, bases_path, lanes_path, matrix_path, ell, u_km, u_factor,
         raise InputError("--algo topk requires --k")
     if algo != "topk" and k is not None:
         raise InputError("--k only applies to --algo topk")
-    ranked = algo == "topk"
     with _output(out, (bases_path, lanes_path, matrix_path)) as fh:
         space = _load_space(bases_path, matrix_path)
         index = _load_index(lanes_path, space)
@@ -239,15 +234,14 @@ def match(lane_id, bases_path, lanes_path, matrix_path, ell, u_km, u_factor,
         u = _cap(u_km, u_factor, index.by_id[lane_id])
         query = Query(lane_id, ell, u, k)
 
-        if ranked:  # called by name, so wrappers around cli.enumerate_topk see it
+        if algo == "topk":  # called by name, so wrappers around cli.enumerate_topk see it
             rs = enumerate_topk(index, space, query)
         else:
             rs = BACKENDS[algo](index, space, query)
 
-        write = _record_writer(fh, fmt, shapley, ranked)
+        write = _line_writer(fh, fmt, shapley, rs.ell_star if algo == "topk" else None)
         for tr in rs.triangles:
-            shares = shapley_split(tr, index, space).shares if shapley else None
-            write(_triangle_record(tr, shares, rs.ell_star if ranked else None))
+            write(tr, shapley_split(tr, index, space).shares if shapley else None)
     click.echo(f"{len(rs.triangles)} triangles (ell={ell}, u={u:.3f}, algo={algo})", err=True)
 
 

@@ -161,6 +161,9 @@ def load_lanes_csv(path: str | Path, space: MetricSpace) -> list[Lane]:
             if not lid:
                 problems.append(f"row {rownum}: empty lane_id")
                 continue
+            if not (start and end):
+                problems.append(f"row {rownum}: empty {'dest' if start else 'origin'}_base_id")
+                continue
             if lid in seen:
                 problems.append(f"row {rownum}: duplicate lane id {lid!r}")
                 continue

@@ -476,15 +476,19 @@ def validate_metric(space: MetricSpace, samples: int = 1000, seed: int = 0) -> V
 
 @contextmanager
 def open_csv(path: Path, reader=csv.reader):
-    """`reader` over the file at `path`. A line the csv module cannot parse (a
-    field over its size limit, say) raises ValueError naming the file line."""
-    with path.open(newline="") as fh:
+    """`reader` over the UTF-8 file at `path`, a leading byte-order mark
+    skipped. A line the csv module cannot parse (a field over its size limit,
+    say) raises ValueError naming the file line, and bytes that are not UTF-8
+    one naming the file."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = reader(fh)
         try:
             yield rows
         except csv.Error as exc:  # a DictReader's own line_num lags its reader's
             line = getattr(rows, "reader", rows).line_num
             raise ValueError(f"{path} line {line}: {exc}") from None
+        except UnicodeDecodeError:  # decoded ahead in chunks, so no line is known
+            raise ValueError(f"{path}: not UTF-8 text") from None
 
 
 def load_bases_csv(path: str | Path) -> list[Base]:

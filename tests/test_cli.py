@@ -250,6 +250,30 @@ def test_validate_reports_lane_row_numbers(runner, tmp_path):
     assert "row 8" in res.output and "missing" in res.output
 
 
+def test_validate_names_empty_lane_endpoints(runner, tmp_path):
+    (tmp_path / "bases.csv").write_text("base_id,lat,lon\na,35,135\nb,36,135\n")
+    (tmp_path / "lanes.csv").write_text(
+        "lane_id,origin_base_id,dest_base_id\nab,a\nab,,b\nba,b,a\n")
+    res = runner.invoke(main, ["validate", "--bases", str(tmp_path / "bases.csv"),
+                               "--lanes", str(tmp_path / "lanes.csv")])
+    assert res.exit_code == 3, res.output
+    assert "row 2: empty dest_base_id; row 3: empty origin_base_id" in res.output
+
+
+@pytest.mark.parametrize("command,code", [("match", 2), ("validate", 3)])
+def test_a_file_that_is_not_utf8_is_an_input_error_naming_it(runner, tmp_path, command, code):
+    sjis = "lane_id,origin_base_id,dest_base_id\nab,a,b\nba,b,a\n東京,a,b\n"
+    (tmp_path / "bases.csv").write_text("base_id,lat,lon\na,35,135\nb,36,135\n")
+    (tmp_path / "lsj.csv").write_bytes(sjis.encode("shift_jis"))
+    args = ["--bases", str(tmp_path / "bases.csv"), "--lanes", str(tmp_path / "lsj.csv")]
+    if command == "match":
+        args = ["ab", *args, "--l", "0.5"]
+    res = runner.invoke(main, [command, *args])
+    assert res.exit_code == code, res.output
+    assert "lsj.csv: not UTF-8 text" in res.output
+    assert "Traceback" not in res.output
+
+
 # --- match -------------------------------------------------------------------
 
 def test_match_pruned_on_tri4(runner, tmp_path):
@@ -557,6 +581,42 @@ def test_match_records_roundtrip_to_printed_precision(runner, tmp_path):
         # six legs each rounded to 3 decimals: worst case 6 * 0.0005 drift
         assert abs(total - r["total"]) <= 0.0035
         assert abs(sum(r["d"]) / total - r["ovr"]) <= 1e-4
+
+
+@pytest.fixture(scope="module")
+def digest_instance(tmp_path_factory):
+    root = tmp_path_factory.mktemp("formats")
+    res = CliRunner().invoke(main, ["gen", "--n-bases", "40", "--n-lanes", "160",
+                                    "--seed", "7", "--out", str(root)])
+    assert res.exit_code == 0, res.output
+    return root
+
+
+@pytest.mark.parametrize("flags", [[], ["--shapley"], ["--k", "5"], ["--k", "5", "--shapley"]])
+def test_match_csv_rows_print_the_jsonl_records(digest_instance, flags):
+    out = {}
+    for fmt in ("jsonl", "csv"):
+        res = CliRunner().invoke(main, [
+            "match", "l0010", "--bases", str(digest_instance / "bases.csv"),
+            "--lanes", str(digest_instance / "lanes.csv"), "--l", "0.8", *flags,
+            "--format", fmt])
+        assert res.exit_code == 0, res.output
+        out[fmt] = res.stdout
+    records = [json.loads(line) for line in out["jsonl"].splitlines()]
+    header, *rows = csv.reader(out["csv"].splitlines())
+    assert header == ["t1", "t2", "t3", "d1", "d2", "d3", "e1", "e2", "e3", "ovr", "total",
+                      *(["shapley1", "shapley2", "shapley3"] if "--shapley" in flags else []),
+                      *(["ell_star"] if "--k" in flags else [])]
+    assert records and len(rows) == len(records)
+    for row, rec in zip(rows, records):
+        want = [rec["t1"], rec["t2"], rec["t3"],
+                *(f"{v:.3f}" for v in rec["d"] + rec["e"]),
+                f"{rec['ovr']:.6f}", f"{rec['total']:.3f}",
+                *(f"{v:.3f}" for v in rec.get("shapley", [])),
+                *([f"{rec['ell_star']:.6f}"] if "ell_star" in rec else [])]
+        assert row == want
+        assert ("shapley" in rec) == ("--shapley" in flags)
+        assert ("ell_star" in rec) == ("--k" in flags)
 
 
 # --- bench -------------------------------------------------------------------

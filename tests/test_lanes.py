@@ -393,6 +393,23 @@ def test_lanes_csv_errors_name_the_file_line_past_blank_lines(tmp_path):
         load_lanes_csv(p, space)
 
 
+def test_bom_prefixed_lanes_file_loads_as_the_plain_one(tmp_path):
+    space = line_space({"A": 0.0, "B": 1.0})
+    text = "lane_id,origin_base_id,dest_base_id,owner\nx,A,B,acme\ny,B,A,\n".encode()
+    (tmp_path / "lanes.csv").write_bytes(text)
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text)
+    assert load_lanes_csv(tmp_path / "bom.csv", space) == load_lanes_csv(tmp_path / "lanes.csv", space)
+
+
+def test_lanes_csv_names_an_empty_origin_or_destination(tmp_path):
+    space = line_space({"A": 0.0, "B": 1.0})
+    p = tmp_path / "lanes.csv"
+    p.write_text("lane_id,origin_base_id,dest_base_id\nab,A\nab,,B\nba,B,A\n")
+    with pytest.raises(ValueError, match=r"lanes.csv: row 2: empty dest_base_id; "
+                                         r"row 3: empty origin_base_id$"):
+        load_lanes_csv(p, space)
+
+
 def switching_often(fn):
     """Run fn with the interpreter switching threads every microsecond."""
     interval = sys.getswitchinterval()

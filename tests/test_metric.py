@@ -317,6 +317,25 @@ def test_bases_csv_matrix_mode(tmp_path):
     assert space.distance("n1", "n2") == 3.0
 
 
+def test_bom_prefixed_bases_and_matrix_files_load_as_the_plain_ones(tmp_path):
+    # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+    texts = {"bases.csv": "base_id,lat,lon\nn1,35.0,139.5\nn2,34.2,135.1\n",
+             "ids.csv": "base_id\nn1\nn2\n", "matrix.csv": "0,3\n3,0\n"}
+    for name, text in texts.items():
+        (tmp_path / name).write_bytes(text.encode())
+        (tmp_path / f"bom-{name}").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    for name in ("bases.csv", "ids.csv"):
+        assert load_bases_csv(tmp_path / f"bom-{name}") == load_bases_csv(tmp_path / name)
+    assert load_matrix_csv(tmp_path / "bom-matrix.csv") == load_matrix_csv(tmp_path / "matrix.csv")
+
+
+def test_a_bases_file_that_is_not_utf8_is_named(tmp_path):
+    path = tmp_path / "sj.csv"
+    path.write_bytes("base_id,lat,lon\n東京,35.68,139.76\n".encode("shift_jis"))
+    with pytest.raises(ValueError, match=r"sj.csv: not UTF-8 text$"):
+        load_bases_csv(path)
+
+
 def test_matrix_csv_names_the_bad_row(tmp_path):
     path = tmp_path / "matrix.csv"
     path.write_text("0,3\n3,zz\n")
