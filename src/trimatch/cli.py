@@ -180,8 +180,7 @@ def gen(n_bases, n_lanes, seed, out):
 @click.option("--samples", type=click.IntRange(min=0), default=1000, show_default=True,
               help="Random triples for the triangle-inequality check.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--force", is_flag=True, help="Report violations but exit 0.")
-def validate(bases_path, lanes_path, matrix_path, samples, seed, force):
+def validate(bases_path, lanes_path, matrix_path, samples, seed):
     """Check the metric axioms and lane-file integrity."""
     space = _load_space(bases_path, matrix_path)
     report = validate_metric(space, samples=samples, seed=seed)
@@ -194,9 +193,9 @@ def validate(bases_path, lanes_path, matrix_path, samples, seed, force):
         except ValueError as exc:
             lane_trouble = str(exc)
             click.echo(f"lanes: {lane_trouble}")
-    if (not report.ok or lane_trouble) and not force:
+    if not report.ok or lane_trouble:
         sys.exit(3)
-    click.echo("validation passed" if report.ok and not lane_trouble else "violations ignored (--force)")
+    click.echo("validation passed")
 
 
 @main.command()

@@ -100,11 +100,10 @@ class MetricSpace:
     every haversine term is even in the sign of its difference, and
     cos(phi1) * cos(phi2) commutes.
 
-    Great-circle distances are cached as they are first read: a row of
-    `distances_to` per base, or the whole matrix once `distance_matrix()` is
-    called. Each is stored whole with one assignment after it is built, so
-    the space stays safe to share across concurrent readers; at worst two of
-    them build the same row twice.
+    Only the great-circle matrix is kept once built: `distance_matrix()`
+    stores it whole with one assignment, so the space stays safe to share
+    across concurrent readers. Without it, `distances_to` builds each row
+    for its caller and keeps none.
     """
 
     def __init__(self, bases: list[Base] | tuple[Base, ...],
@@ -131,13 +130,16 @@ class MetricSpace:
                     raise ValueError(f"matrix row {i} has {len(row)} entries, expected {len(bases)}")
                 if not _finite_and_nonnegative(row):  # find the bad value, if any
                     for v in row:
-                        if not (math.isfinite(v) and v >= 0.0):
+                        try:
+                            valid = math.isfinite(v) and v >= 0.0
+                        except (TypeError, OverflowError):  # no number, or too large to test
+                            valid = False
+                        if not valid:
                             raise ValueError(f"matrix row {i} contains invalid distance {v!r}")
         self.bases = bases
         self._pos = {b.id: i for i, b in enumerate(bases)}
         self._dcache: list[list[float]] | None = matrix
         self._explicit = matrix is not None
-        self._rows: dict[int, list[float]] = {}  # great-circle rows by position
         self.base_ids: tuple[str, ...] = tuple(b.id for b in bases)
 
     @classmethod
@@ -197,22 +199,18 @@ class MetricSpace:
         return [(b.lat, b.lon, math.cos(b.lat * _DEG)) for b in self.bases]
 
     def distances_to(self, base_id: str) -> list[float]:
-        """d(b, base_id) for every base b, in position order. Read it, do not
-        change it: on great circles it is the space's own row.
+        """d(b, base_id) for every base b, in position order.
 
         With an explicit matrix this is its column, copied per call. On great
         circles it is the base's row, which equals the column bit for bit,
         since each pair is symmetric: row j of a held matrix, which holds the
-        column's own float objects, or else built on first read and kept,
-        O(|B|) work for one base instead of O(|B|^2) for all.
+        column's own float objects (read it, do not change it), or else a new
+        row per call, O(|B|) work for one base instead of O(|B|^2) for all.
         """
         j = self.index_of(base_id)
         if self._dcache is not None:
             return [row[j] for row in self._dcache] if self._explicit else self._dcache[j]
-        row = self._rows.get(j)
-        if row is None:
-            row = self._rows[j] = _great_circle_row(self._points[j], self._points)
-        return row
+        return _great_circle_row(self._points[j], self._points)
 
 
 def _finite_and_nonnegative(row) -> bool:

@@ -115,7 +115,8 @@ def test_validate_asymmetric_matrix_exits_3(runner, tmp_path):
     assert res.exit_code == 3
     assert "symmetry" in res.output
     res = runner.invoke(main, args + ["--force"])
-    assert res.exit_code == 0
+    assert res.exit_code == 2
+    assert "No such option '--force'" in res.output
 
 
 def test_validate_accepts_collinear_great_circle_bases(runner, tmp_path):
@@ -202,12 +203,54 @@ def test_header_only_bases_exit_2(runner, tmp_path, command):
     ("a,35,135\nb,36,135\na,37,135\n", "bases.csv row 4: duplicate base id 'a'"),
     ("a,35,135\nb,95,135\n", "bases.csv row 3: lat 95.0 outside [-90, 90]"),
     ("a,35,135\nb,36,190\n", "bases.csv row 3: lon 190.0 outside [-180, 180]"),
-], ids=["duplicate", "lat", "lon"])
+    ("a,35,135\n ,36,135\n", "bases.csv row 3: empty base_id"),
+    ("a,35,135\nb,north,135\n", "bases.csv row 3: bad coordinates"),
+], ids=["duplicate", "lat", "lon", "empty-id", "coordinates"])
 def test_bad_bases_rows_exit_2_naming_the_file_row(runner, tmp_path, rows, message):
     (tmp_path / "bases.csv").write_text("base_id,lat,lon\n" + rows)
     res = runner.invoke(main, ["validate", "--bases", str(tmp_path / "bases.csv")])
     assert res.exit_code == 2, res.output
     assert message in res.output
+
+
+@pytest.mark.parametrize("command", ["validate", "match"])
+@pytest.mark.parametrize("name,text,message", [
+    ("bases.csv", "id,lat,lon\na,35,135\nb,36,135\n", "bases.csv: missing base_id header"),
+    ("lanes.csv", "lane,origin_base_id,dest_base_id\nab,a,b\n",
+     "lanes.csv: header must contain ['dest_base_id', 'lane_id', 'origin_base_id']"),
+    ("lanes.csv", "lane_id,origin_base_id,dest_base_id\nab,a,b\n,b,a\n",
+     "lanes.csv: row 3: empty lane_id"),
+    ("lanes.csv", "lane_id,origin_base_id,dest_base_id\nab,a,b\nab,b,a\n",
+     "lanes.csv: row 3: duplicate lane id 'ab'"),
+], ids=["bases-header", "lanes-header", "empty-lane-id", "duplicate-lane-id"])
+def test_bad_headers_and_lane_ids_are_input_errors(runner, tmp_path, command,
+                                                    name, text, message):
+    """A bases.csv fault exits 2 from every command; a lanes.csv fault exits
+    3 from `validate`, which reports it, and 2 from `match`."""
+    (tmp_path / "bases.csv").write_text("base_id,lat,lon\na,35,135\nb,36,135\n")
+    (tmp_path / "lanes.csv").write_text("lane_id,origin_base_id,dest_base_id\nab,a,b\n")
+    (tmp_path / name).write_text(text)
+    args = ["--bases", str(tmp_path / "bases.csv"), "--lanes", str(tmp_path / "lanes.csv")]
+    if command == "match":
+        args = ["ab", *args, "--l", "0.5"]
+    res = runner.invoke(main, [command, *args])
+    assert res.exit_code == (3 if command == "validate" and name == "lanes.csv" else 2), res.output
+    assert message in res.output
+    assert "Traceback" not in res.output and "validation passed" not in res.output
+
+
+@pytest.mark.parametrize("command", ["validate", "match"])
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_a_matrix_file_with_no_rows_exits_2(runner, tmp_path, command, text):
+    write_tri4_files(tmp_path)
+    (tmp_path / "matrix.csv").write_text(text)
+    args = tri4_args(tmp_path)
+    if command == "match":
+        args = ["AB", *args, "--l", "0.9"]
+    res = runner.invoke(main, [command, *args])
+    assert res.exit_code == 2, res.output
+    assert "matrix.csv: empty matrix" in res.output
+    assert "Traceback" not in res.output
 
 
 @pytest.mark.parametrize("command", ["validate", "match"])
@@ -378,6 +421,23 @@ def test_match_algo_quad_exits_2(runner, tmp_path):
                                "--algo", "quad"])
     assert res.exit_code == 2
     assert "'quad' is not one of 'brute', 'pruned', 'topk'" in res.output
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--algo", "topk"], "--algo topk requires --k"),
+    (["--k", "5", "--algo", "pruned"], "--k only applies to --algo topk"),
+], ids=["topk-without-k", "k-with-pruned"])
+def test_match_k_and_algo_must_agree(runner, tmp_path, monkeypatch, flags, message):
+    write_tri4_files(tmp_path)
+
+    def no_read(path):
+        raise AssertionError(f"read {path} before checking the flags")
+
+    monkeypatch.setattr(cli, "load_bases_csv", no_read)
+    res = runner.invoke(main, ["match", "AB", *tri4_args(tmp_path), "--l", "0.9", *flags])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert "Traceback" not in res.output
 
 
 def test_match_topk_single(runner, tmp_path):

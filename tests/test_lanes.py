@@ -163,19 +163,17 @@ def test_neighbors_within_unknown_base():
         neighbors_within(index, "ghost", 10.0)
 
 
-def rows_built(space, index):
-    """(great-circle distance rows, sorted neighbor rows) built so far."""
-    return len(space._rows), len(index.neighbors._rows)
+def rows_built(index):
+    """Sorted neighbor rows built so far."""
+    return len(index.neighbors._rows)
 
 
 def test_one_cold_query_builds_fewer_rows_than_bases():
     space, index = gc_instance(200, 700, seed=5)
-    assert rows_built(space, index) == (0, 0)
+    assert rows_built(index) == 0
     lane = index.lanes[0]
     enumerate_topk(index, space, Query(lane.id, 0.75, 4.0 * lane.dist, k=20))
-    distance_rows, neighbor_rows = rows_built(space, index)
-    assert 0 < neighbor_rows < len(space)
-    assert 0 < distance_rows < len(space)
+    assert 0 < rows_built(index) < len(space)
 
 
 def test_membership_len_iteration_and_lane_ranges_build_no_rows():
@@ -186,7 +184,7 @@ def test_membership_len_iteration_and_lane_ranges_build_no_rows():
     assert list(index.neighbors) == list(space.base_ids)
     for s in space.base_ids:
         lanes_in_range(index, s, 0.0, math.inf)
-    assert rows_built(space, index) == (0, 0)
+    assert rows_built(index) == 0
 
 
 def test_unknown_base_row_raises_key_error():
@@ -204,9 +202,9 @@ def test_index_built_after_the_matrix_holds_every_row():
     eager_space.distance_matrix()
     lazy = build_index([make_lane(lid, s, e, lazy_space) for lid, s, e in rows], lazy_space)
     eager = build_index([make_lane(lid, s, e, eager_space) for lid, s, e in rows], eager_space)
-    assert rows_built(eager_space, eager) == (0, len(bases))
+    assert rows_built(eager) == len(bases)
     assert dict(lazy.neighbors) == dict(eager.neighbors)
-    assert rows_built(lazy_space, lazy) == (0, len(bases))
+    assert rows_built(lazy) == len(bases)
 
 
 def test_rows_within_a_radius_hold_the_whole_rows_prefix():
@@ -251,7 +249,7 @@ def test_a_row_within_a_small_radius_computes_few_distances(monkeypatch):
     row = index.neighbors.within(b, 100.0)
     assert row == neighbors_within(index, b, 100.0)
     assert len(asked) == 1 and 0 < asked[0] < len(index.by_start) // 10
-    assert rows_built(space, index) == (0, 1)
+    assert rows_built(index) == 1
 
 
 def test_an_index_on_a_held_matrix_sorts_its_rows_from_it(monkeypatch):
@@ -270,7 +268,7 @@ def test_an_index_on_a_held_matrix_sorts_its_rows_from_it(monkeypatch):
         assert neighbors_within(index, b, 500.0) == \
             [(s, d) for s, d in index.neighbors[b] if d <= 500.0]
     assert asked == []
-    assert rows_built(space, index) == (0, len(bases))
+    assert rows_built(index) == len(bases)
 
 
 def bytes_per_neighbor_entry(held: bool) -> float:

@@ -1,4 +1,7 @@
+import gc
 import math
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -93,7 +96,7 @@ def test_lazy_rows_are_bit_identical_to_the_matrix_and_pairwise_haversine():
         for a, got in zip(bases, column):
             lo, hi = (a, b) if a.id < b.id else (b, a)
             assert got.hex() == _haversine_km(lo.lat, lo.lon, hi.lat, hi.lon).hex()
-    assert len(space._rows) == len(bases) and space._dcache is None
+    assert space._dcache is None
 
 
 def test_great_circle_distances_do_not_depend_on_argument_order():
@@ -132,6 +135,28 @@ def test_distances_to_is_the_held_great_circle_row():
         got = space.distances_to(b)
         assert [x.hex() for x in got] == [row[j].hex() for row in matrix]
         assert got is matrix[j]
+
+
+def test_a_great_circle_row_is_built_per_call_and_kept_by_no_one():
+    bases, _ = generate_instance(300, 10, seed=9)
+    space = MetricSpace.great_circle(bases)
+    first = space.distances_to(bases[0].id)  # builds the points every row reads
+    again = space.distances_to(bases[0].id)
+    assert [x.hex() for x in again] == [x.hex() for x in first]
+    assert again is not first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for b in space.base_ids:
+            space.distances_to(b)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # one row is a list slot and a float per base, about 32 bytes each
+    assert kept < len(bases) * 32
+    assert space._dcache is None
 
 
 def test_from_matrix_serves_the_callers_matrix():
@@ -262,6 +287,13 @@ def test_a_bad_value_in_mid_row_is_named(tmp_path, bad):
     path.write_text("0,0,0,0\n" + ",".join(map(repr, row)) + "\n0,0,0,0\n0,0,0,0\n")
     with pytest.raises(ValueError, match=rf"matrix.csv row 2: bad distance '{bad!r}'$"):
         load_matrix_csv(path)
+
+
+@pytest.mark.parametrize("bad", ["3", None, 10**400], ids=["str", "none", "huge-int"])
+def test_a_value_that_cannot_be_tested_is_an_invalid_distance(bad):
+    with pytest.raises(ValueError,
+                       match=rf"^matrix row 0 contains invalid distance {re.escape(repr(bad))}$"):
+        MetricSpace.from_matrix([Base("a"), Base("b")], [[0.0, bad], [bad, 0.0]])
 
 
 def test_rows_whose_sum_overflows_and_negative_zero_are_accepted(tmp_path):
