@@ -11,10 +11,13 @@ mileage stays within `u`. Three backends produce the same set:
            leg's start, the second lane, the second empty leg's start, the
            third lane), each cut by distance-derived bounds to a sorted
            prefix
-  topk     the same bounded search keeping a size-k min-heap; the
-           feasibility threshold rises to the provisional kth-best rate as
-           candidates accumulate, and ties at the kth rate go to the
-           smallest (t2, t3)
+  topk     the same bounded search keeping a size-k min-heap, run in
+           passes: first at a rate a quarter of the requested slack 1 - ell
+           below 1, then half of it, then at ell itself, stopping at the
+           first pass that finds k; within a pass the threshold rises to the
+           provisional kth-best rate as candidates accumulate, and ties at
+           the kth rate go to the smallest (t2, t3); its visit counts sum
+           over the passes, and its threshold trace is the answering pass's
 
 pruned and topk are one bounded kernel, `_bounded_search`, with different
 result sinks: pruned collects every triangle, topk keeps the k best and feeds
@@ -48,7 +51,7 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter
 from time import perf_counter
 
 from .lanes import Lane, LaneIndex, UnknownLaneError
@@ -98,8 +101,14 @@ class SearchStats:
     reach of the client's start (see `_closable_lanes`), so it counts those
     alone. Unpruned, with n lanes and |S| start bases, brute visits
     (n-1, (n-1)(n-2)) and the four bounded levels would visit
-    (|S|, n-1, (n-1)|S|, (n-1)(n-2)), the most pruned and topk can visit at
-    each level."""
+    (|S|, n-1, (n-1)|S|, (n-1)(n-2)) in one pass, the most pruned can visit
+    at each level.
+
+    topk sums level_visits over its passes: per level, at most what pruned
+    visits at the rates of the passes it ran, which for a short answer (every
+    pass runs) can exceed pruned's count at ell alone. ell_trace holds topk's
+    threshold raises in order; only a pass that fills k raises it, and that
+    pass answers, so they are the answering pass's raises."""
 
     level_visits: tuple[int, ...]
     seconds: float
@@ -281,9 +290,20 @@ def _closable_lanes(by_end: list, column: list[float], reach: float
     return table
 
 
-def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
+def _origin_distances(space: MetricSpace, start: str
+                      ) -> tuple[list[float], dict[str, float]]:
+    """Each base's distance to the client's start, as the position-order
+    column `_closable_lanes` reads and as the id -> distance map the exits
+    and level 4 read. Built once per query, however many passes it runs."""
+    column = space.distances_to(start)
+    return column, dict(zip(space.base_ids, column))
+
+
+def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane,
+                    origin: tuple[list[float], dict[str, float]], ell: float,
                     u: float, accept) -> tuple[int, ...]:
     """The four bounded loops behind `pruned` and `topk`; returns level_visits.
+    `origin` is `_origin_distances` of t1's start.
 
     Every level scans a sorted prefix up to its bound: neighbors up to
     `bound_e1` and `bound_e2`, lanes up to the upper ends of `bound_d2` and
@@ -306,8 +326,7 @@ def _bounded_search(index: LaneIndex, space: MetricSpace, t1: Lane, ell: float,
     d1 = t1.dist
     t1_id = t1.id
     t1_start = t1.start
-    column = space.distances_to(t1_start)
-    to_origin = dict(zip(space.base_ids, column))
+    column, to_origin = origin
     near = index.neighbors.within
     scan = index.scan
     slack = BOUND_SLACK * u
@@ -381,7 +400,8 @@ def enumerate_pruned(index: LaneIndex, space: MetricSpace, query: Query) -> Resu
         tris.append(_triangle(t1.id, ovr, t2, t3, legs))
         return ell
 
-    visits = _bounded_search(index, space, t1, ell, query.u, collect)
+    origin = _origin_distances(space, t1.start)
+    visits = _bounded_search(index, space, t1, origin, ell, query.u, collect)
     return ResultSet(tris, ell, SearchStats(visits, perf_counter() - started))
 
 
@@ -392,12 +412,31 @@ class _Descending(tuple):
     __lt__ = tuple.__gt__
 
 
-def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query) -> ResultSet:
-    """Keep the k best rates in a min-heap while searching with rising bounds.
+# topk's passes: pass p searches at the rate 1 - f * (1 - ell), a fraction f of
+# the requested slack below 1; the last is ell itself
+_PASSES = (0.25, 0.5, 1.0)
 
-    Until k candidates are found the requested rate is the threshold; once
-    the heap is full the threshold jumps to the heap minimum after every
-    insertion, shrinking all four scan ranges for the rest of the run.
+
+def _pass_rates(ell: float) -> list[float]:
+    """topk's pass rates for the requested `ell`, highest first, with a rate
+    equal to the one before dropped (at ell 1 there is one pass). Written as
+    ell + (1 - f)(1 - ell), which is never under ell and is ell itself at
+    f = 1."""
+    return list(dict.fromkeys(ell + (1.0 - f) * (1.0 - ell) for f in _PASSES))
+
+
+def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query) -> ResultSet:
+    """Keep the k best rates in a min-heap while searching with rising bounds,
+    in passes at the `_pass_rates` of query.ell, each with a fresh heap,
+    until one pass holds k triangles.
+
+    A pass at rate r >= ell finds every triangle rated at least r. If it
+    holds k, the kth-best rate is at least r, so it found the whole top k;
+    if not, the next pass widens the reach. The last pass is at ell itself.
+    Within a pass the pass rate is the threshold until k candidates are
+    found; once the heap is full the threshold jumps to the heap minimum
+    after every insertion, shrinking all four scan ranges for the rest of
+    the pass. level_visits sum over the passes run.
 
     Heap entries are (ovr, tie, legs) tuples with tie = (t2, t3) reversed, so
     heap[0] is the worst: the lowest rate, and among equal rates the largest
@@ -411,9 +450,10 @@ def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query) -> Result
     started = perf_counter()
     t1 = _client_lane(index, query.t1)
     k = query.k
-    ell = query.ell
+    origin = _origin_distances(space, t1.start)
     heap: list[tuple[float, _Descending, tuple[float, ...]]] = []
     trace: list[float] = []
+    visits = (0, 0, 0, 0)
 
     def keep_best(ovr: float, t2: str, t3: str, legs: tuple[float, ...]) -> float:
         nonlocal ell
@@ -427,7 +467,12 @@ def enumerate_topk(index: LaneIndex, space: MetricSpace, query: Query) -> Result
             trace.append(ell)
         return ell
 
-    visits = _bounded_search(index, space, t1, ell, query.u, keep_best)
+    for ell in _pass_rates(query.ell):
+        heap.clear()
+        found = _bounded_search(index, space, t1, origin, ell, query.u, keep_best)
+        visits = tuple(map(add, visits, found))
+        if len(heap) == k:
+            break
     tris = [_triangle(t1.id, ovr, *tie, legs) for ovr, tie, legs in sorted(heap, reverse=True)]
     return ResultSet(tris, ell, SearchStats(visits, perf_counter() - started, tuple(trace)))
 

@@ -41,6 +41,13 @@ def test_run_queries_row_shape():
         run_queries(index, space, lanes, ["topk"], [0.8])  # k missing
 
 
+def test_run_queries_rejects_an_unknown_algorithm():
+    space, index = gc_instance(20, 60, seed=56)
+    lanes = sample_query_lanes(index, 2, seed=1)
+    with pytest.raises(ValueError, match="unknown algorithm 'quad'"):
+        run_queries(index, space, lanes, ["pruned", "quad"], [0.8])
+
+
 def test_run_queries_runs_a_repeated_grid_value_once():
     space, index = gc_instance(20, 60, seed=56)
     lanes = sample_query_lanes(index, 3, seed=1)

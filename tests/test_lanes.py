@@ -163,6 +163,12 @@ def test_neighbors_within_unknown_base():
         neighbors_within(index, "ghost", 10.0)
 
 
+def test_lanes_in_range_unknown_base():
+    space, index = gc_instance(10, 20, seed=2)
+    with pytest.raises(UnknownBaseError, match="ghost"):
+        lanes_in_range(index, "ghost", 0.0, math.inf)
+
+
 def rows_built(index):
     """Sorted neighbor rows built so far."""
     return len(index.neighbors._rows)
@@ -274,14 +280,15 @@ def test_an_index_on_a_held_matrix_sorts_its_rows_from_it(monkeypatch):
 def bytes_per_neighbor_entry(held: bool) -> float:
     """Memory the index keeps per neighbor entry on a 300-base great-circle
     instance, with every row built: sorted up front from a held matrix, or
-    on first read. The space's own distances are made before the count."""
+    on first read. What the space keeps is made before the count: the held
+    matrix, or the points a lazy row is measured from (made by the first
+    `distances_to`)."""
     bases, rows = generate_instance(300, 1050, seed=9)
     space = MetricSpace.great_circle(bases)
     if held:
         space.distance_matrix()
     else:
-        for b in space.base_ids:
-            space.distances_to(b)
+        space.distances_to(space.base_ids[0])
     lanes = [make_lane(lid, s, e, space) for lid, s, e in rows]
     gc.collect()
     tracemalloc.start()

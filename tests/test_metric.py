@@ -210,6 +210,19 @@ def test_validate_great_circle_is_clean():
     assert report.triangle_checks == 500
 
 
+def test_validate_rejects_negative_samples():
+    with pytest.raises(ValueError, match="samples must be >= 0"):
+        validate_metric(two_point_space(), samples=-1)
+
+
+def test_validate_samples_symmetry_past_1000_bases():
+    """Up to 1000 bases every pair is checked; past that, `samples` pairs."""
+    bases, _ = generate_instance(1001, 0, seed=4)
+    report = validate_metric(MetricSpace.great_circle(bases), samples=20, seed=5)
+    assert report.ok
+    assert (report.identity_checks, report.symmetry_checks, report.triangle_checks) == (1001, 20, 20)
+
+
 def test_validate_flags_asymmetry():
     space = MetricSpace.from_matrix([Base("0"), Base("1")], [[0.0, 1.0], [5.0, 0.0]])
     report = validate_metric(space, samples=10, seed=0)
@@ -276,6 +289,11 @@ def test_matrix_shape_and_sign_checks():
         MetricSpace.from_matrix([Base("0"), Base("1")], [[0.0, 1.0]])
     with pytest.raises(ValueError, match="invalid"):
         MetricSpace.from_matrix([Base("0"), Base("1")], [[0.0, -1.0], [1.0, 0.0]])
+
+
+def test_a_matrix_row_of_the_wrong_length_is_named():
+    with pytest.raises(ValueError, match=r"^matrix row 1 has 1 entries, expected 2$"):
+        MetricSpace.from_matrix([Base("0"), Base("1")], [[0.0, 1.0], [1.0]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])

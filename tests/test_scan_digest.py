@@ -13,7 +13,7 @@ from trimatch import Query, enumerate_pruned, enumerate_topk
 
 from conftest import gc_instance, pick_lanes
 
-DIGEST = "820175a64ca59402cfa82a66f19b2c3351aa877746925910ccc3e0c56f19617c"
+DIGEST = "42dda55a538fb1abdb2ef7b4801aef4b49119678b6dd43b8f51f51c45f13f2c9"
 
 # mode -> (cap as a multiple of the lane, k, backend)
 MODES = {

@@ -363,7 +363,8 @@ def test_level_four_enters_only_lanes_that_close_the_cycle():
     assert pruned.stats.level_visits == (2, 1, 1, 2)
     top = enumerate_topk(index, space, Query("t1", 0.75, 40.0, k=1))
     assert top.triangles == brute[:1]
-    assert top.stats.level_visits == (1, 1, 1, 2)  # at rate 1, O (e1 = 10) is past level 1
+    # its one pass, at rate 0.9375, closes only within 2.5 of O and finds the rate-1 cycle
+    assert top.stats.level_visits == (1, 1, 1, 1)
 
 
 # --- top-k ----------------------------------------------------------------
@@ -389,6 +390,29 @@ def test_topk_with_room_returns_everything_sorted():
     rs = enumerate_topk(index, space, Query(q_all.t1, q_all.ell, q_all.u, k=len(oracle) + 5))
     assert [(t.t2, t.t3) for t in rs.triangles] == [(t.t2, t.t3) for t in by_rate(oracle)]
     assert rs.ell_star == q_all.ell  # heap never filled
+
+
+@pytest.mark.parametrize("ell", [0.1, 0.3, 0.7, 1.0])
+def test_topk_past_the_result_size_runs_every_pass(ell):
+    """No pass fills a heap larger than the answer, so top-k runs every pass
+    down to ell itself, scanning at each rate what pruned scans there, and
+    returns pruned's set ranked. At ell 1 every pass rate is 1: one pass."""
+    pts = {"A": 0.0, "B": 10.0, "C": 4.0, "D": 1.0}
+    space = line_space(pts)
+    index = build_index([make_lane(a + b, a, b, space)
+                         for a in pts for b in pts if a != b], space)
+    pruned = enumerate_pruned(index, space, Query("AB", ell, 40.0))
+    assert pruned.triangles
+    top = enumerate_topk(index, space, Query("AB", ell, 40.0, k=len(pruned.triangles) + 1))
+    assert top.triangles == by_rate(pruned.triangles)
+    assert top.ell_star == ell and top.stats.ell_trace == ()
+    rates = search._pass_rates(ell)
+    assert len(rates) == (1 if ell == 1.0 else 3) and rates[-1] == ell
+    per_pass = [enumerate_pruned(index, space, Query("AB", r, 40.0)).stats.level_visits
+                for r in rates]
+    assert top.stats.level_visits == tuple(map(sum, zip(*per_pass)))
+    if ell == 1.0:
+        assert top.stats.level_visits == pruned.stats.level_visits
 
 
 @pytest.mark.parametrize("k", [1, 5, 10])
@@ -417,12 +441,20 @@ def test_topk_threshold_rises_monotonically():
 
 
 def test_topk_never_works_harder_than_pruned():
+    """Per pass: at every level, top-k visits at most what pruned visits at
+    the rates of the passes top-k ran, which are the pass rates up to the
+    first at which pruned finds k triangles."""
     space, index = gc_instance(40, 150, seed=16)
     for lane_id in pick_lanes(index, 4, seed=17):
         u = 4.0 * index.by_id[lane_id].dist
-        pruned = enumerate_pruned(index, space, Query(lane_id, 0.75, u))
+        bound = (0, 0, 0, 0)
+        for rate in search._pass_rates(0.75):
+            pruned = enumerate_pruned(index, space, Query(lane_id, rate, u))
+            bound = tuple(map(sum, zip(bound, pruned.stats.level_visits)))
+            if len(pruned.triangles) >= 5:
+                break
         topk = enumerate_topk(index, space, Query(lane_id, 0.75, u, k=5))
-        assert topk.stats.candidates <= pruned.stats.candidates
+        assert all(v <= b for v, b in zip(topk.stats.level_visits, bound)), (topk.stats, bound)
 
 
 def test_topk_builds_triangles_only_for_its_survivors(monkeypatch):
@@ -540,6 +572,9 @@ def test_bounded_search_equals_brute_force_on_nonmetric_matrices(seed, kind):
             assert by_rate(enumerate_pruned(index, space, q).triangles) == brute
             top = enumerate_topk(index, space, Query(q.t1, ell, q.u, k=5))
             assert top.triangles == brute[:5]
+            for k in (1, len(brute) + 3):
+                top = enumerate_topk(index, space, Query(q.t1, ell, q.u, k=k))
+                assert top.triangles == brute[:k]
 
 
 def test_explicit_marks_a_given_matrix_only():

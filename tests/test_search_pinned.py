@@ -64,13 +64,14 @@ def test_topk_pinned_on_tied_line(tied_line, mode, third):
     assert summary(rs) == (
         [("L05", "L06", 17 / 18, 18.0), ("L07", "L06", 17 / 18, 18.0),
          (third, "L04", 8 / 9, 18.0)],
-        8 / 9, (2, 7, 14, 13), (5 / 6, 8 / 9))
+        8 / 9, (3, 9, 17, 11), (8 / 9,))
 
 
 @pytest.mark.parametrize("mode", [False, True])
 def test_topk_above_the_result_size_returns_the_ranked_full_set(tied_line, mode):
-    """With k past the 7 results the heap never fills: the threshold never
-    rises, so topk scans what pruned scans and returns all of it ranked by
+    """With k past the 7 results no pass fills the heap: the threshold never
+    rises, so topk runs all three passes, at 0.9375, 0.875 and 0.75, scans
+    in each what pruned scans at that rate, and returns all of it ranked by
     (rate desc, t2, t3)."""
     space, index = tied_line
     rs = enumerate_topk(index, space, Query("L01", 0.75, 36.0, k=10))
@@ -79,7 +80,10 @@ def test_topk_above_the_result_size_returns_the_ranked_full_set(tied_line, mode)
          ("L05", "L04", 8 / 9, 18.0), ("L07", "L04", 8 / 9, 18.0),
          ("L05", "L08", 5 / 6, 18.0), ("L07", "L08", 5 / 6, 18.0),
          ("L08", "L04", 7 / 9, 18.0)],
-        0.75, (5, 11, 30, 51), ())
+        0.75, (8, 20, 47, 62), ())
+    per_pass = [enumerate_pruned(index, space, Query("L01", rate, 36.0)).stats.level_visits
+                for rate in (0.9375, 0.875, 0.75)]
+    assert rs.stats.level_visits == tuple(map(sum, zip(*per_pass)))
 
 
 def test_pruned_pinned_on_great_circle(great_circle):
@@ -111,7 +115,7 @@ def test_topk_pinned_on_great_circle(great_circle, mode):
         0.965041791954672, 0.9391580332799669, 0.9335909799391834, 0.8783153723928238,
         0.8638212354434017], rel=1e-12)
     assert rs.ell_star == pytest.approx(0.8638212354434017, rel=1e-12)
-    assert rs.stats.level_visits == (7, 22, 85, 37)
+    assert rs.stats.level_visits == (17, 56, 131, 46)
     assert rs.stats.ell_trace == pytest.approx((
         0.8088933588601762, 0.8107233032864163, 0.8153937595397748, 0.8392228731024909,
         0.8594386743191169, 0.8638212354434017), rel=1e-12)
