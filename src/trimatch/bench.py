@@ -64,6 +64,8 @@ def run_queries(index: LaneIndex, space: MetricSpace, lane_ids, algos, ells,
             raise ValueError(f"unknown algorithm {algo!r}")
     if k is None and "topk" in algos:
         raise ValueError("topk benchmarking needs k")
+    if u_km is None and u_factor is None:
+        raise ValueError("run_queries needs u_km or u_factor")
     rows: list[QueryRow] = []
     for ell in ells:
         for algo in algos:

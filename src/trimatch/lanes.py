@@ -2,7 +2,7 @@
 
 For every base b the index keeps the list of lane-start bases ordered by
 distance from b, and for every start base s the lanes leaving s ordered by
-lane length, as `Lane`s and as the plain tuples the search reads. Both lists
+(length, id), as the (dist, id, end) tuples the search reads. Both lists
 answer range queries with a binary search, so the enumeration backends only
 ever touch candidates inside their bounds. The space builds the first list
 (`trimatch.metric._NeighborRows`): all of it up front when it holds its
@@ -17,9 +17,10 @@ column.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .metric import MetricSpace, UnknownBaseError, _NeighborRows, open_csv
@@ -59,14 +60,14 @@ class LaneIndex:
 
     lanes          all lanes, sorted by id
     by_id          lane id -> lane
-    by_start       start base -> lanes leaving it, sorted by (dist, id)
-    scan           start base -> [(dist, id, end)] of by_start's lanes, in its
-                   order; the bounded search scans a prefix of these, and
-                   drops the client or second lane from a copy of a list only
-                   at the start that lane leaves
+    scan           start base -> [(dist, id, end)] of the lanes leaving it,
+                   sorted by (dist, id); the bounded search scans a prefix of
+                   these, and drops the client or second lane from a copy of a
+                   list only at the start that lane leaves
     by_end         per base, in the space's position order: (start, scan tuple)
-                   of every lane ending there; the bounded search zips it with
-                   a distance column to find the lanes that end near a base
+                   of every lane ending there, by (dist, id); the bounded
+                   search zips it with a distance column to find the lanes
+                   that end near a base
     neighbors      every base -> its row of start bases sorted by (distance, id),
                    built by the space (`metric._NeighborRows`): a `metric._Row`
                    of parallel `ids` and `dists` lists that reads as the list
@@ -76,7 +77,6 @@ class LaneIndex:
 
     lanes: tuple[Lane, ...]
     by_id: dict[str, Lane]
-    by_start: dict[str, list[Lane]]
     scan: dict[str, list[tuple[float, str, str]]]
     by_end: list[list[tuple[str, tuple[float, str, str]]]]
     neighbors: _NeighborRows
@@ -95,32 +95,25 @@ def build_index(lanes, space: MetricSpace) -> LaneIndex:
             raise ValueError(f"lane {ln.id!r}: cached dist {ln.dist!r} != {exact!r}")
         by_id[ln.id] = ln
 
-    ordered = tuple(sorted(by_id.values(), key=lambda l: l.id))
-    by_start: dict[str, list[Lane]] = {}
-    for ln in ordered:
-        by_start.setdefault(ln.start, []).append(ln)
-    for group in by_start.values():  # stable over lanes in id order: ties stay in id order
-        group.sort(key=attrgetter("dist"))
-
-    neighbors = _NeighborRows(space, sorted(by_start))
-    scan = {s: [(l.dist, l.id, l.end) for l in group] for s, group in by_start.items()}
+    ordered = tuple(sorted(by_id.values(), key=attrgetter("id")))
+    scan: dict[str, list[tuple[float, str, str]]] = {}
     ends: dict[str, list[tuple[str, tuple[float, str, str]]]] = {}
-    for s, group in scan.items():
-        for t in group:
-            ends.setdefault(t[2], []).append((s, t))
+    for ln in sorted(ordered, key=attrgetter("dist")):  # stable: ties stay in id order
+        t = (ln.dist, ln.id, ln.end)
+        scan.setdefault(ln.start, []).append(t)
+        ends.setdefault(ln.end, []).append((ln.start, t))
 
     return LaneIndex(
         lanes=ordered,
         by_id=by_id,
-        by_start=by_start,
         scan=scan,
         by_end=[ends.get(b, []) for b in space.base_ids],
-        neighbors=neighbors,
+        neighbors=_NeighborRows(space, sorted(scan)),
     )
 
 
 def neighbors_within(index: LaneIndex, b: str, radius: float) -> list[tuple[str, float]]:
-    """Start bases within `radius` km of b, nearest first."""
+    """Start bases within `radius` km of b, nearest first. A NaN radius raises ValueError."""
     if b not in index.neighbors:
         raise UnknownBaseError(f"unknown base id {b!r}")
     row = index.neighbors.within(b, radius)
@@ -128,14 +121,16 @@ def neighbors_within(index: LaneIndex, b: str, radius: float) -> list[tuple[str,
 
 
 def lanes_in_range(index: LaneIndex, s: str, lb: float, ub: float) -> list[Lane]:
-    """Lanes leaving s with lb <= dist <= ub, ascending. Empty when s has no lanes."""
+    """Lanes leaving s with lb <= dist <= ub, by (dist, id). Empty when s has
+    no lanes; a NaN bound raises ValueError."""
     if s not in index.neighbors:
         raise UnknownBaseError(f"unknown base id {s!r}")
-    group = index.by_start.get(s)
-    if not group:
-        return []
-    by_dist = attrgetter("dist")
-    return group[bisect_left(group, lb, key=by_dist):bisect_right(group, ub, key=by_dist)]
+    if math.isnan(lb) or math.isnan(ub):
+        raise ValueError(f"lane length bounds must not be NaN, got [{lb}, {ub}]")
+    group = index.scan.get(s, [])
+    by_dist = itemgetter(0)
+    span = group[bisect_left(group, lb, key=by_dist):bisect_right(group, ub, key=by_dist)]
+    return [index.by_id[t[1]] for t in span]
 
 
 def load_lanes_csv(path: str | Path, space: MetricSpace) -> list[Lane]:

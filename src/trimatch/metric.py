@@ -362,10 +362,13 @@ class _NeighborRows(Mapping):
 
     def within(self, b: str, radius: float) -> _Row:
         """b's row up to at least `radius`, nearest first: every start within
-        `radius` of b is in it, and any longer entries come after them."""
+        `radius` of b is in it, and any longer entries come after them. A NaN
+        radius raises ValueError and leaves every row as it was."""
         entry = self._rows.get(b)
         if entry is not None and entry[0] >= radius:
             return entry[1]
+        if math.isnan(radius):  # no reach compares >= NaN, so it always lands here
+            raise ValueError(f"radius must not be NaN, got {radius}")
         space = self._space
         origin = lat, lon, _ = space._points[space.index_of(b)]
         lats, entries = self._by_lat

@@ -72,8 +72,8 @@ class Query:
             raise ValueError(f"ell must be in (0, 1], got {self.ell}")
         if not 0.0 < self.u < math.inf:  # the bounds take inf * (1 - ell), NaN at ell 1
             raise ValueError(f"u must be positive and finite, got {self.u}")
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.k is not None and (type(self.k) is not int or self.k < 1):
+            raise ValueError(f"k must be an int >= 1, got {self.k!r}")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import pytest
 
 from trimatch.bench import (aggregate, percentile, row_to_dict, run_queries,
                             sample_query_lanes)
+from trimatch.search import BACKENDS
 
 from conftest import gc_instance
 
@@ -46,6 +47,16 @@ def test_run_queries_rejects_an_unknown_algorithm():
     lanes = sample_query_lanes(index, 2, seed=1)
     with pytest.raises(ValueError, match="unknown algorithm 'quad'"):
         run_queries(index, space, lanes, ["pruned", "quad"], [0.8])
+
+
+def test_run_queries_needs_a_cap_before_any_query_runs(monkeypatch):
+    space, index = gc_instance(20, 60, seed=56)
+    lanes = sample_query_lanes(index, 2, seed=1)
+    ran = []
+    monkeypatch.setitem(BACKENDS, "pruned", lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match="u_km or u_factor"):
+        run_queries(index, space, lanes, ["pruned"], [0.8], u_factor=None)
+    assert ran == []
 
 
 def test_run_queries_runs_a_repeated_grid_value_once():

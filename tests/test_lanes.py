@@ -30,23 +30,28 @@ def test_zero_length_lane_rejected():
         make_lane("x", "A", "A", space)
 
 
-def test_by_start_sorted_by_distance():
+def lanes_leaving(index, s):
+    """The lanes leaving s, sorted by (dist, id) from `index.lanes` alone."""
+    return sorted((l for l in index.lanes if l.start == s), key=lambda l: (l.dist, l.id))
+
+
+def test_scan_sorted_by_distance():
     space = line_space({"A": 0.0, "B": 3.0, "C": 5.0})
     lanes = [make_lane("ac", "A", "C", space), make_lane("ab", "A", "B", space)]
     index = build_index(lanes, space)
-    assert [l.id for l in index.by_start["A"]] == ["ab", "ac"]
-    assert [l.dist for l in index.by_start["A"]] == [3.0, 5.0]
+    assert index.scan["A"] == [(3.0, "ab", "B"), (5.0, "ac", "C")]
 
 
 def test_distance_ties_break_by_lane_id():
     space = line_space({"A": 0.0, "B": 3.0, "C": -3.0})
     lanes = [make_lane("z", "A", "B", space), make_lane("a", "A", "C", space)]
     index = build_index(lanes, space)
-    assert [l.id for l in index.by_start["A"]] == ["a", "z"]
+    assert [t[1] for t in index.scan["A"]] == ["a", "z"]
     for _, index in (space, index), gc_instance(40, 150, seed=4):
-        assert index.scan.keys() == index.by_start.keys()
-        for s, group in index.by_start.items():
-            assert index.scan[s] == [(l.dist, l.id, l.end) for l in group]
+        starts = sorted({l.start for l in index.lanes})
+        assert sorted(index.scan) == starts
+        for s in starts:
+            assert index.scan[s] == [(l.dist, l.id, l.end) for l in lanes_leaving(index, s)]
 
 
 def test_by_end_holds_each_scan_tuple_at_its_end_position():
@@ -61,7 +66,7 @@ def test_by_end_holds_each_scan_tuple_at_its_end_position():
 def test_empty_lane_set():
     space = line_space({"A": 0.0, "B": 1.0})
     index = build_index([], space)
-    assert index.by_start == {}
+    assert index.scan == {} and index.by_end == [[], []]
     assert index.neighbors["A"] == [] and index.neighbors["B"] == []
 
 
@@ -70,7 +75,7 @@ def test_neighbor_lists_cover_every_base():
     assert set(index.neighbors) == set(space.base_ids)
     for b in space.base_ids:
         entries = index.neighbors[b]
-        assert {s for s, _ in entries} == set(index.by_start)
+        assert {s for s, _ in entries} == {l.start for l in index.lanes}
         dists = [d for _, d in entries]
         assert dists == sorted(dists)
 
@@ -88,7 +93,7 @@ def test_neighbor_ties_at_identical_coordinates_order_by_id():
 
 def test_index_roundtrips_the_input_multiset():
     space, index = gc_instance(50, 200, seed=42)
-    flattened = [l.id for group in index.by_start.values() for l in group]
+    flattened = [t[1] for group in index.scan.values() for t in group]
     assert Counter(flattened) == Counter(l.id for l in index.lanes)
     assert len(flattened) == 200
 
@@ -141,7 +146,7 @@ def test_neighbors_within_line_example():
 
 def test_neighbors_within_zero_and_unbounded():
     space, index = gc_instance(20, 50, seed=1)
-    some_start = next(iter(sorted(index.by_start)))
+    some_start = min(l.start for l in index.lanes)
     at_zero = neighbors_within(index, some_start, 0.0)
     assert (some_start, 0.0) in at_zero
     assert neighbors_within(index, some_start, math.inf) == index.neighbors[some_start]
@@ -167,6 +172,37 @@ def test_lanes_in_range_unknown_base():
     space, index = gc_instance(10, 20, seed=2)
     with pytest.raises(UnknownBaseError, match="ghost"):
         lanes_in_range(index, "ghost", 0.0, math.inf)
+
+
+def test_a_nan_radius_is_refused_on_a_matrix_space():
+    space = line_space({"A": 0.0, "B": 3.0, "C": 5.0})
+    index = build_index([make_lane("ab", "A", "B", space)], space)
+    with pytest.raises(ValueError, match="NaN"):
+        neighbors_within(index, "C", math.nan)
+    assert neighbors_within(index, "C", math.inf) == [("A", 5.0)]
+
+
+def test_a_nan_radius_builds_and_replaces_no_row():
+    bases, rows = generate_instance(30, 90, seed=9)
+    lazy, held = MetricSpace.great_circle(bases), MetricSpace.great_circle(bases)
+    held.distance_matrix()
+    for space in lazy, held:
+        index = build_index([make_lane(lid, s, e, space) for lid, s, e in rows], space)
+        before = dict(index.neighbors._rows)
+        for b in space.base_ids[:3]:
+            with pytest.raises(ValueError, match="NaN"):
+                neighbors_within(index, b, math.nan)
+        assert index.neighbors._rows == before
+        if space is held:
+            assert {reach for reach, _ in before.values()} == {math.inf}
+
+
+@pytest.mark.parametrize("lb,ub", [(0.0, math.nan), (math.nan, math.inf), (math.nan, math.nan)])
+def test_lanes_in_range_refuses_a_nan_bound(lb, ub):
+    space = line_space({"s": 0.0, "a": 2.0, "b": 4.0})
+    index = build_index([make_lane("l2", "s", "a", space), make_lane("l4", "s", "b", space)], space)
+    with pytest.raises(ValueError, match="NaN"):
+        lanes_in_range(index, "s", lb, ub)
 
 
 def rows_built(index):
@@ -254,7 +290,7 @@ def test_a_row_within_a_small_radius_computes_few_distances(monkeypatch):
     b = space.base_ids[0]
     row = index.neighbors.within(b, 100.0)
     assert row == neighbors_within(index, b, 100.0)
-    assert len(asked) == 1 and 0 < asked[0] < len(index.by_start) // 10
+    assert len(asked) == 1 and 0 < asked[0] < len(index.scan) // 10
     assert rows_built(index) == 1
 
 
@@ -269,7 +305,7 @@ def test_an_index_on_a_held_matrix_sorts_its_rows_from_it(monkeypatch):
                         lambda origin, points: asked.append(len(points)) or real(origin, points))
     index = build_index(lanes, space)
     for b in space.base_ids:
-        assert len(index.neighbors[b]) == len(index.by_start)
+        assert len(index.neighbors[b]) == len(index.scan)
         assert index.neighbors.within(b, 500.0) is index.neighbors[b]
         assert neighbors_within(index, b, 500.0) == \
             [(s, d) for s, d in index.neighbors[b] if d <= 500.0]
@@ -300,7 +336,7 @@ def bytes_per_neighbor_entry(held: bool) -> float:
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert entries == len(bases) * len(index.by_start)
+    assert entries == len(bases) * len(index.scan)
     return kept / entries
 
 
@@ -323,7 +359,7 @@ def test_a_row_reads_as_its_list_of_pairs():
     for b in space.base_ids:
         row = index.neighbors[b]
         pairs = list(zip(row.ids, row.dists))
-        assert len(row) == len(pairs) == len(index.by_start)
+        assert len(row) == len(pairs) == len(index.scan)
         assert row == pairs and pairs == row and not row != pairs
         assert row == eager.neighbors[b] and eager.neighbors[b] == row
         assert row != pairs[:-1] and pairs[1:] != row and row != tuple(pairs)
@@ -354,8 +390,10 @@ def test_lanes_in_range_binary_search_positions():
 
 def test_lanes_in_range_full_interval_equals_group():
     space, index = gc_instance(25, 80, seed=13)
-    for s in index.by_start:
-        assert lanes_in_range(index, s, 0.0, math.inf) == index.by_start[s]
+    for s in space.base_ids:
+        group = lanes_leaving(index, s)
+        assert lanes_in_range(index, s, 0.0, math.inf) == group
+        assert index.scan.get(s, []) == [(l.dist, l.id, l.end) for l in group]
 
 
 def test_inclusive_endpoints_in_range_queries():

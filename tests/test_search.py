@@ -50,6 +50,14 @@ def test_query_validation(ell, u, k):
         Query("x", ell, u, k)
 
 
+@pytest.mark.parametrize("k", [2.5, math.nan, "3", True])
+def test_query_rejects_a_k_that_is_not_an_int(k):
+    """k 2.5 once made top-k return 3 triangles, and a NaN or a string failed
+    inside the search; each is refused when the query is made."""
+    with pytest.raises(ValueError, match=r"k must be an int"):
+        Query("x", 0.6, 1e5, k=k)
+
+
 def test_query_rejects_an_infinite_cap():
     """At ell == 1 an infinite u makes bound_e1 inf * 0 = NaN, so pruned and
     topk would find nothing where brute finds (ab, bc, ca). The query refuses
@@ -220,7 +228,7 @@ def test_pruned_equals_oracle_on_random_instances(n_bases, n_lanes, seed, ell):
 
 def test_pruned_never_visits_more_than_unpruned_loops():
     space, index = gc_instance(35, 120, seed=8)
-    n, starts = len(index.lanes), len(index.by_start)
+    n, starts = len(index.lanes), len(index.scan)
     unpruned = (starts, n - 1, (n - 1) * starts, (n - 1) * (n - 2))  # SearchStats
     for lane_id in pick_lanes(index, 4, seed=3):
         q = Query(lane_id, 0.8, 4.0 * index.by_id[lane_id].dist)
