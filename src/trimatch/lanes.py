@@ -7,11 +7,11 @@ answer range queries with a binary search, so the enumeration backends only
 ever touch candidates inside their bounds. The space builds the first list
 (`trimatch.metric._NeighborRows`): all of it up front when it holds its
 distance matrix, else each row on first read, only as far as the reader's
-bound reaches. Each row keeps its start ids and distances as two parallel
-lists, and reads as the list of (id, distance) pairs. The search's lane
-tuples are also grouped by end base, in the space's position order, so a
-search can find the lanes that end near a base from that base's distance
-column.
+bound reaches. Each row keeps its reach and its start ids and distances as
+two parallel lists; `neighbors_within` gives them as (id, distance) pairs.
+The search's lane tuples are also grouped by end base, in the space's
+position order, so a search can find the lanes that end near a base from
+that base's distance column.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ class LaneIndex:
                    that end near a base
     neighbors      every base -> its row of start bases sorted by (distance, id),
                    built by the space (`metric._NeighborRows`): a `metric._Row`
-                   of parallel `ids` and `dists` lists that reads as the list
-                   [(start base, distance)]; `within(b, radius)` gives the row
-                   up to at least `radius`
+                   of parallel `ids` and `dists` lists, holding every start
+                   within its `reach`; `within(b, radius)` gives the row up to
+                   at least `radius`
     """
 
     lanes: tuple[Lane, ...]
@@ -117,7 +117,8 @@ def neighbors_within(index: LaneIndex, b: str, radius: float) -> list[tuple[str,
     if b not in index.neighbors:
         raise UnknownBaseError(f"unknown base id {b!r}")
     row = index.neighbors.within(b, radius)
-    return row[:bisect_right(row.dists, radius)]
+    n = bisect_right(row.dists, radius)
+    return list(zip(row.ids[:n], row.dists[:n]))
 
 
 def lanes_in_range(index: LaneIndex, s: str, lb: float, ub: float) -> list[Lane]:

@@ -7,8 +7,8 @@ here vets a user's data, not a premise of the search. `_NeighborRows` lists
 a set of start bases by distance from each base: sorted up front from the
 matrix when the space holds one, else measured on first read, and only
 inside the latitude band and longitude span the reader's radius allows.
-Each list is a `_Row`, start ids and distances in two parallel lists, which
-reads as the list of (id, distance) pairs it stores.
+Each list is a `_Row`: how far it reaches, and its start ids and distances
+in two parallel lists.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import random
 import threading
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -280,40 +280,21 @@ def _great_circle_matrix(bases: tuple[Base, ...]) -> list[list[float]]:
     return rows
 
 
-class _Row(Sequence):
+class _Row:
     """One neighbor row: start ids and their distances, in two parallel lists
-    in the same order. It reads as the list of (id, distance) pairs it
-    replaces: len, an index gives a pair, a slice a list of pairs, iteration
-    zips the two, and it equals a list of the same pairs or another row. The
-    search zips `ids` and `dists` itself, and `neighbors_within` bisects
-    `dists`, so no read builds the pairs."""
+    in (distance, id) order, holding every start within `reach` of its base
+    (inf: every start). The search zips `ids` and `dists`, and
+    `neighbors_within` bisects `dists`."""
 
-    __slots__ = ("ids", "dists")
+    __slots__ = ("reach", "ids", "dists")
 
-    def __init__(self, ids: list[str], dists: list[float]):
+    def __init__(self, reach: float, ids: list[str], dists: list[float]):
+        self.reach = reach
         self.ids = ids
         self.dists = dists
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(zip(self.ids[i], self.dists[i]))
-        return self.ids[i], self.dists[i]
-
-    def __iter__(self) -> Iterator[tuple[str, float]]:
-        return zip(self.ids, self.dists)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _Row):
-            return self.ids == other.ids and self.dists == other.dists
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 class _NeighborRows(Mapping):
@@ -326,16 +307,15 @@ class _NeighborRows(Mapping):
     b: it measures just the starts inside the latitude band and longitude
     span that radius allows, so a search pays for the neighborhood its bounds
     admit rather than for all |starts|. Each distance is the float
-    `distances_to` gives. `self[b]` is `within(b, inf)`. Each entry is
-    (reach, row), with every start within `reach` of b in `row` (inf: the
-    whole row), and a read that asks for more rebuilds it. Membership, len
-    and iteration (every base id, in space order) build nothing.
+    `distances_to` gives. `self[b]` is `within(b, inf)`. A read that asks for
+    more than a row's `reach` rebuilds it. Membership, len and iteration
+    (every base id, in space order) build nothing.
     """
 
     def __init__(self, space: MetricSpace, start_ids: list[str]):
         self._space = space
         self._start_ids = start_ids
-        self._rows: dict[str, tuple[float, _Row]] = {}
+        self._rows: dict[str, _Row] = {}
         if space._dcache is not None:  # the distances are paid for: sort every row now
             ids = space.base_ids
             pos = [space.index_of(s) for s in start_ids]
@@ -343,8 +323,8 @@ class _NeighborRows(Mapping):
             with _young_gc_off():
                 for b, row in zip(ids, space._dcache):
                     order = sorted(pos, key=row.__getitem__)
-                    self._rows[b] = (math.inf, _Row(list(map(ids.__getitem__, order)),
-                                                    list(map(row.__getitem__, order))))
+                    self._rows[b] = _Row(math.inf, list(map(ids.__getitem__, order)),
+                                         list(map(row.__getitem__, order)))
 
     @cached_property
     def _by_lat(self) -> tuple[list[float], list[tuple[str, tuple[float, float, float]]]]:
@@ -363,12 +343,15 @@ class _NeighborRows(Mapping):
     def within(self, b: str, radius: float) -> _Row:
         """b's row up to at least `radius`, nearest first: every start within
         `radius` of b is in it, and any longer entries come after them. A NaN
-        radius raises ValueError and leaves every row as it was."""
-        entry = self._rows.get(b)
-        if entry is not None and entry[0] >= radius:
-            return entry[1]
+        radius raises ValueError and leaves every row as it was, and a negative
+        one, which no start is within, measures and keeps nothing."""
+        row = self._rows.get(b)
+        if row is not None and row.reach >= radius:
+            return row
         if math.isnan(radius):  # no reach compares >= NaN, so it always lands here
             raise ValueError(f"radius must not be NaN, got {radius}")
+        if radius < 0.0:  # no start is that near
+            return _Row(radius, [], [])
         space = self._space
         origin = lat, lon, _ = space._points[space.index_of(b)]
         lats, entries = self._by_lat
@@ -379,8 +362,8 @@ class _NeighborRows(Mapping):
             band = [e for e in band if abs((e[1][1] - lon + 180.0) % 360.0 - 180.0) <= span]
         dists = _great_circle_row(origin, [p for _, p in band])
         kept = sorted((d, s) for (s, _), d in zip(band, dists) if d <= radius)
-        row = _Row([s for _, s in kept], [d for d, _ in kept])
-        self._rows[b] = (radius, row)
+        row = _Row(radius, [s for _, s in kept], [d for d, _ in kept])
+        self._rows[b] = row
         return row
 
     def __contains__(self, b: object) -> bool:

@@ -51,6 +51,7 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from numbers import Real
 from operator import add, attrgetter, itemgetter
 from time import perf_counter
 
@@ -68,6 +69,10 @@ class Query:
     k: int | None = None
 
     def __post_init__(self):
+        for name in ("ell", "u"):  # the bounds mix them with floats: no Decimal
+            value = getattr(self, name)
+            if not isinstance(value, Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.ell <= 1.0:
             raise ValueError(f"ell must be in (0, 1], got {self.ell}")
         if not 0.0 < self.u < math.inf:  # the bounds take inf * (1 - ell), NaN at ell 1

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import assume, given, settings
@@ -56,6 +57,17 @@ def test_query_rejects_a_k_that_is_not_an_int(k):
     inside the search; each is refused when the query is made."""
     with pytest.raises(ValueError, match=r"k must be an int"):
         Query("x", 0.6, 1e5, k=k)
+
+
+@pytest.mark.parametrize("field,ell,u", [
+    ("ell", Decimal("0.8"), 1e4), ("ell", "0.8", 1e4), ("ell", None, 1e4),
+    ("u", 0.8, Decimal("1e4")), ("u", 0.8, "1e4"), ("u", 0.8, complex(1e4))])
+def test_query_rejects_an_ell_or_u_that_is_not_a_number(field, ell, u):
+    """A Decimal ell was once accepted and failed inside bound_e1, and a
+    string failed in the range test with a TypeError; each is refused, by
+    name, when the query is made."""
+    with pytest.raises(ValueError, match=rf"^{field} must be a real number"):
+        Query("x", ell, u)
 
 
 def test_query_rejects_an_infinite_cap():
